@@ -1,13 +1,7 @@
 """Termination prover for DPO graph transformation systems via weighted
 type graphs over well-founded commutative semirings."""
 
-from .semiring import (
-    ARCTIC,
-    ARITHMETIC,
-    TROPICAL,
-    SemiringDescriptor,
-    semiring_by_name,
-)
+from .semiring import ARCTIC, ARITHMETIC, TROPICAL, SemiringDescriptor
 from .signature import IndexSignature, ObjectDecl, parse_signature, representable_shapes
 from .graph import CGraph, ElementRef, canonical_key, complete_type_graph
 from .morphism import Morphism, compose, enumerate_homs, identity

@@ -16,7 +16,7 @@ from typing import Optional
 from . import semiring as sr
 from .dpo import check_rule_admissibility, Rule
 from .graph import CGraph, GraphError, validate_instance
-from .morphism import Morphism, compose, enumerate_homs
+from .morphism import compose
 from .semiring import SEMIRINGS
 from .sysfile import (
     System,
@@ -27,13 +27,7 @@ from .sysfile import (
     print_graph_block,
     system_hash,
 )
-from .wtg import (
-    WeightedTypeGraph,
-    element_at,
-    side_homs,
-    verify_context_closure,
-    weight_of_morphism,
-)
+from .wtg import WeightedTypeGraph, element_at, side_comparisons, verify_context_closure
 
 VERSION = 1
 VERDICTS = ("terminating", "relatively-terminating", "failed")
@@ -73,6 +67,13 @@ def _element_label(T: CGraph, sort: str, name: str) -> Optional[str]:
         if T.name_of(s, i) == name:
             return T.labels[s][i]
     raise CertificateError(f"unknown element {sort} {name}")
+
+
+def _element_row(T: CGraph, sort: str, name: str, label, weight: int, row):
+    """(sort, name, weight) of an element row whose label agrees with T."""
+    if _element_label(T, sort, name) != label:
+        raise CertificateError(f"element label disagrees with the type graph: {row}")
+    return sort, name, weight
 
 
 def write_certificate(cert: Certificate) -> str:
@@ -148,35 +149,48 @@ def certificate_to_json(cert: Certificate) -> str:
     return json.dumps(data, indent=2) + "\n"
 
 
-def _graph_from_rows(sig, rows) -> CGraph:
-    return CGraph.build(sig, [(r[0], r[1], r[2], tuple(r[3])) for r in rows])
+# what certificate_to_json writes: a type, [shape] for a list, a tuple
+# for a row with one shape per column, a dict for an object's fields
+_JSON_STEP = {
+    "semiring": str,
+    "typeGraph": [(str, str, str | None, [str])],
+    "elements": [(str, str, str | None, int)],
+    "rules": [{"rule": str, "class": str, "closure": dict | None}],
+    "removed": [str],
+}
+_JSON_SHAPE = {"systemHash": str, "steps": [_JSON_STEP], "verdict": str, "remaining": [str]}
+
+
+def _fits(value, shape) -> bool:
+    if isinstance(shape, dict):
+        return isinstance(value, dict) and all(_fits(value.get(k), s) for k, s in shape.items())
+    if isinstance(shape, (list, tuple)):
+        if not isinstance(value, list):
+            return False
+        columns = shape * len(value) if isinstance(shape, list) else shape
+        return len(columns) == len(value) and all(map(_fits, value, columns))
+    return isinstance(value, shape)
 
 
 def certificate_from_json(sig, text: str) -> Certificate:
     data = json.loads(text)
-    if data.get("version") != VERSION:
+    if not isinstance(data, dict) or data.get("version") != VERSION:
         raise CertificateError("unsupported certificate version")
+    if not _fits(data, _JSON_SHAPE):
+        raise CertificateError("JSON certificate does not have the expected fields")
     steps = []
     for st in data["steps"]:
-        entries = tuple(
-            RuleEntry(
-                e["rule"],
-                e["class"],
-                tuple(sorted(e["closure"].items())) if e.get("closure") else None,
-            )
-            for e in st["rules"]
-        )
-        tg = _graph_from_rows(sig, st["typeGraph"])
-        elements = []
-        for e in st["elements"]:
-            sort, name, lab, w = e
-            if _element_label(tg, sort, name) != lab:
-                raise CertificateError(
-                    f"element label disagrees with the type graph: {e}"
-                )
-            elements.append((sort, name, int(w)))
+        entries = []
+        for e in st["rules"]:
+            closure = e.get("closure")
+            if closure and not _fits(list(closure.values()), [str]):
+                raise CertificateError(f"closure of {e['rule']} maps to a non-name")
+            pairs = tuple(sorted(closure.items())) if closure else None
+            entries.append(RuleEntry(e["rule"], e["class"], pairs))
+        tg = CGraph.build(sig, [(r[0], r[1], r[2], tuple(r[3])) for r in st["typeGraph"]])
+        elements = tuple(_element_row(tg, *e, e) for e in st["elements"])
         steps.append(
-            CertStep(st["semiring"], tg, tuple(elements), entries, tuple(st["removed"]))
+            CertStep(st["semiring"], tg, elements, tuple(entries), tuple(st["removed"]))
         )
     return Certificate(
         data["systemHash"], tuple(steps), data["verdict"], tuple(data["remaining"])
@@ -189,9 +203,21 @@ _RULE_LINE = re.compile(
 
 
 def read_certificate(sig, text: str) -> Certificate:
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        return certificate_from_json(sig, text)
+    """The certificate in text, in either form. Malformed input raises
+    CertificateError and nothing else."""
+    try:
+        if text.lstrip().startswith("{"):
+            return certificate_from_json(sig, text)
+        return _certificate_from_text(sig, text)
+    except CertificateError:
+        raise
+    # json, SystemParseError, SignatureError and GraphError are ValueErrors;
+    # json raises RecursionError on deeply nested input
+    except (ValueError, RecursionError) as e:
+        raise CertificateError(str(e)) from None
+
+
+def _certificate_from_text(sig, text: str) -> Certificate:
     lines = []
     for lineno, raw in enumerate(text.splitlines(), 1):
         body = raw.split("#", 1)[0].strip()
@@ -241,11 +267,7 @@ def read_certificate(sig, text: str) -> Certificate:
                     if not m2 or tg is None:
                         raise CertificateError(f"bad element line: {body}")
                     sort, lab, name, w = m2.groups()
-                    if _element_label(tg, sort, name) != lab:
-                        raise CertificateError(
-                            f"element label disagrees with the type graph: {body}"
-                        )
-                    elements.append((sort, name, int(w)))
+                    elements.append(_element_row(tg, sort, name, lab, int(w), body))
                     i += 1
                 elif body.startswith("rule "):
                     m = _RULE_LINE.match(body)
@@ -298,6 +320,35 @@ def _element_ids(g: CGraph) -> dict[tuple[str, str], tuple[int, int]]:
     return out
 
 
+def step_wtg(step: CertStep) -> WeightedTypeGraph:
+    """The weighted type graph a certificate step records; raises
+    CertificateError on an unknown semiring, an invalid type graph, an
+    unknown element or a bad weight."""
+    if step.semiring_kind not in SEMIRINGS:
+        raise CertificateError("unknown semiring")
+    T = step.type_graph
+    try:
+        validate_instance(T)
+    except GraphError as e:
+        raise CertificateError(f"invalid type graph: {e}") from None
+    ids = _element_ids(T)
+    elements = []
+    for sort, name, w in step.elements:
+        if (sort, name) not in ids:
+            raise CertificateError("weighted element names an unknown element")
+        s, i = ids[(sort, name)]
+        try:
+            elements.append(element_at(T, sort, T.labels[s][i], i, w))
+        except ValueError as e:
+            raise CertificateError(f"bad weighted element: {e}") from None
+    wtg = WeightedTypeGraph(T, tuple(elements), SEMIRINGS[step.semiring_kind])
+    try:
+        wtg.validate()
+    except ValueError as e:
+        raise CertificateError(str(e)) from None
+    return wtg
+
+
 def check_certificate(system: System, cert: Certificate) -> CheckResult:
     if cert.system_hash != system_hash(system):
         return _reject("system hash mismatch")
@@ -306,30 +357,9 @@ def check_certificate(system: System, cert: Certificate) -> CheckResult:
     remaining: dict[str, Rule] = {r.name: r for r in system.rules}
     for idx, step in enumerate(cert.steps, 1):
         where = f"step {idx}"
-        if step.semiring_kind not in SEMIRINGS:
-            return _reject(f"{where}: unknown semiring")
-        kind = SEMIRINGS[step.semiring_kind]
-        T = step.type_graph
         try:
-            validate_instance(T)
-        except GraphError as e:
-            return _reject(f"{where}: invalid type graph: {e}")
-        ids = _element_ids(T)
-        try:
-            elements = tuple(
-                element_at(T, sort, T.labels[ids[(sort, name)][0]][ids[(sort, name)][1]],
-                           ids[(sort, name)][1], w)
-                for sort, name, w in step.elements
-                if (sort, name) in ids
-            )
-        except Exception as e:
-            return _reject(f"{where}: bad weighted element: {e}")
-        if len(elements) != len(step.elements):
-            return _reject(f"{where}: weighted element names an unknown element")
-        wtg = WeightedTypeGraph(T, elements, kind)
-        try:
-            wtg.validate()
-        except Exception as e:
+            wtg = step_wtg(step)
+        except CertificateError as e:
             return _reject(f"{where}: {e}")
         entry_names = [e.rule for e in step.entries]
         if sorted(entry_names) != sorted(remaining):
@@ -338,7 +368,9 @@ def check_certificate(system: System, cert: Certificate) -> CheckResult:
             )
         if not step.removed:
             return _reject(f"{where}: removes no rule")
-        domains = [(we.shape, we.gen) for we in elements]
+        if len(set(step.removed)) < len(step.removed):
+            return _reject(f"{where}: lists a removed rule twice")
+        domains = [(we.shape, we.gen) for we in wtg.elements]
         for entry in step.entries:
             rule = remaining[entry.rule]
             adm = check_rule_admissibility(rule, system.framework, domains)
@@ -351,7 +383,7 @@ def check_certificate(system: System, cert: Certificate) -> CheckResult:
             if entry.closure is not None:
                 try:
                     closure = _names_to_morphism(
-                        rule.left, T, dict(entry.closure), 0
+                        rule.left, wtg.T, dict(entry.closure), 0
                     )
                 except SystemParseError as e:
                     return _reject(f"{where}: rule {rule.name}: bad closure ({e})")
@@ -396,24 +428,17 @@ def _verify_classification(
         return "closureDecreasing needs a strictly monotonic semiring"
     t_kc = compose(closure, rule.l).maps if closure is not None else None
     strict_at_closure = False
-    for t_k in enumerate_homs(rule.interface, wtg.T):
-        ls = side_homs(wtg, rule.l, t_k)
-        rs = side_homs(wtg, rule.r, t_k)
-        wl = sr.s_sum(k, (weight_of_morphism(wtg, t) for t in ls))
-        wr = sr.s_sum(k, (weight_of_morphism(wtg, t) for t in rs))
+    for t_k, wl, wr, empty in side_comparisons(wtg, rule):
         strict = sr.s_lt(k, wr, wl)
         if classification == "uniform":
-            if not (strict or (not ls and not rs)):
+            if not (strict or empty):
                 return (
                     f"uniform comparison fails at t_K = {t_k.maps} "
                     f"({wl} vs {wr})"
                 )
-        else:
-            if not sr.s_le(k, wr, wl):
-                return (
-                    f"weak comparison fails at t_K = {t_k.maps} ({wl} vs {wr})"
-                )
-        if t_kc is not None and t_k.maps == t_kc and strict:
+        elif not sr.s_le(k, wr, wl):
+            return f"weak comparison fails at t_K = {t_k.maps} ({wl} vs {wr})"
+        if t_k.maps == t_kc and strict:
             strict_at_closure = True
     if classification == "closureDecreasing" and not strict_at_closure:
         return "no strict decrease at the closure t_K"

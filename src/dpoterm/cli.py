@@ -19,6 +19,7 @@ from .certificate import (
     check_certificate,
     certificate_to_json,
     read_certificate,
+    step_wtg,
     write_certificate,
 )
 from .dpo import enumerate_matches
@@ -27,7 +28,6 @@ from .prover import DEFAULT_STRATEGY, emit_smtlib, parse_strategy, run_strategy
 from .semiring import SEMIRINGS
 from .sysfile import System, SystemParseError, parse_system_file
 from .verify import verify_step_decompositions
-from .wtg import WeightedTypeGraph, element_at
 
 
 def _load_system(path: str) -> System:
@@ -76,22 +76,10 @@ def _cmd_prove(args) -> int:
 
 def _run_verified(system: System, cert, seed: int) -> list[str]:
     failures: list[str] = []
-    rules = {r.name: r for r in system.rules}
     remaining = list(system.rules)
     for idx, step in enumerate(cert.steps, 1):
-        T = step.type_graph
-        ids = {}
-        for s in range(len(T.sig.objects)):
-            for i in range(T.n(s)):
-                ids[(T.sig.objects[s].name, T.name_of(s, i))] = (s, i)
-        elements = tuple(
-            element_at(T, sort, T.labels[ids[(sort, name)][0]][ids[(sort, name)][1]],
-                       ids[(sort, name)][1], w)
-            for sort, name, w in step.elements
-        )
-        wtg = WeightedTypeGraph(T, elements, SEMIRINGS[step.semiring_kind])
         report = verify_step_decompositions(
-            wtg, remaining, system.framework, seed + idx
+            step_wtg(step), remaining, system.framework, seed + idx
         )
         failures.extend(f"step {idx}: {f}" for f in report.failures)
         remaining = [r for r in remaining if r.name not in step.removed]
@@ -102,7 +90,7 @@ def _cmd_check(args) -> int:
     system = _load_system(args.file)
     try:
         cert = read_certificate(system.sig, Path(args.cert).read_text())
-    except (OSError, CertificateError, ValueError) as e:
+    except (OSError, UnicodeDecodeError, CertificateError) as e:
         print(f"error: {args.cert}: {e}", file=sys.stderr)
         return 1
     got = check_certificate(system, cert)

@@ -44,11 +44,6 @@ class CGraph:
     def size(self) -> int:
         return sum(self.counts)
 
-    def elements(self) -> Iterable[ElementRef]:
-        for s in range(len(self.sig.objects)):
-            for i in range(self.n(s)):
-                yield ElementRef(s, i)
-
     @cached_property
     def tuple_index(self) -> dict[tuple[int, tuple[int, ...], Optional[str]], tuple[int, ...]]:
         """(sort, arg tuple, label) -> element ids, for hom extension."""

@@ -23,9 +23,6 @@ class Morphism:
     cod: CGraph
     maps: tuple[tuple[int, ...], ...]
 
-    def __call__(self, s: int, i: int) -> int:
-        return self.maps[s][i]
-
     def validate(self) -> None:
         dom, cod = self.dom, self.cod
         if dom.sig is not cod.sig and dom.sig != cod.sig:
@@ -69,6 +66,20 @@ def compose(f: Morphism, g: Morphism) -> Morphism:
 
 def image_elements(f: Morphism) -> set[tuple[int, int]]:
     return {(s, j) for s in range(len(f.maps)) for j in f.maps[s]}
+
+
+def extensions(side: Morphism, t: Morphism) -> list[Morphism]:
+    """All h: cod(side) -> cod(t) with h∘side = t, for side, t sharing
+    their domain."""
+    if t.dom != side.dom:
+        raise MorphismError("extensions: the morphisms share no domain")
+    constraint: dict[tuple[int, int], int] = {}
+    for s, row in enumerate(side.maps):
+        for kk, y in enumerate(row):
+            x = t.maps[s][kk]
+            if constraint.setdefault((s, y), x) != x:
+                return []
+    return enumerate_homs(side.cod, t.cod, constraint=constraint)
 
 
 def enumerate_homs(

@@ -15,7 +15,6 @@ rules, which keeps removal loops short.
 """
 from __future__ import annotations
 
-import itertools
 import re
 import time
 from dataclasses import dataclass, field
@@ -25,11 +24,11 @@ from . import semiring as sr
 from .certificate import Certificate, CertStep, RuleEntry
 from .dpo import Framework, Rule, check_rule_admissibility
 from .graph import CGraph, complete_type_graph
-from .morphism import Morphism, compose, enumerate_homs
+from .morphism import Morphism, compose, enumerate_homs, extensions, image_elements
 from .semiring import SEMIRINGS, SemiringDescriptor
 from .signature import IndexSignature, representable_shapes
 from .sysfile import System, system_hash
-from .wtg import detect_collapse_epi, flower_morphism, saturation_closure
+from .wtg import detect_collapse_epi, flower_bases, flower_morphism, saturation_closure
 
 DEFAULT_STRATEGY = (
     "repeat(arithmetic(size=2,bits=4,timeout=30) | "
@@ -195,7 +194,8 @@ class _Cand:
 class _Problem:
     """Everything precomputed for one (rules, framework, kind, size)."""
 
-    def __init__(self, rules, fw: Framework, kind: SemiringDescriptor, bits: int, n: int):
+    def __init__(self, rules, fw: Framework, kind: SemiringDescriptor, bits: int, n: int,
+                 *, epi: Optional[list[bool]] = None):
         self.rules = rules
         self.fw = fw
         self.kind = kind
@@ -211,7 +211,6 @@ class _Problem:
             self.offset[s] = acc
             acc += T.n(s)
         self.nvars = acc
-        self.gid = lambda s, i: self.offset[s] + i
         # bit positions for maskable (non-base) elements
         self.bitpos = [-1] * acc
         bits_used = 0
@@ -259,7 +258,7 @@ class _Problem:
         self._build_constraints()
         self._build_candidates()
         self._build_symmetry()
-        self.epi = [detect_collapse_epi(r) for r in rules]
+        self.epi = epi if epi is not None else [detect_collapse_epi(r) for r in rules]
         # base weights first (they gate arithmetic growth arguments),
         # then non-base elements most-constrained first: occurrence count
         # over supports and exponents localizes refutations
@@ -274,13 +273,9 @@ class _Problem:
                     for g, _ in exps:
                         occurrence[g] += 1
         branchable = [v for v in range(self.nvars) if len(self.domain[v]) > 1]
-        sort_of = [0] * self.nvars
-        for s in range(len(sig.objects)):
-            for i in range(T.n(s)):
-                sort_of[self.offset[s] + i] = s
+        # exactly the non-base elements have a mask bit
         self.var_order = sorted(
-            branchable,
-            key=lambda v: (not sig.is_base(sort_of[v]), -occurrence[v], v),
+            branchable, key=lambda v: (self.bitpos[v] >= 0, -occurrence[v], v)
         )
         self.max_cost = sum(max(self.cost[v].values()) for v in branchable)
 
@@ -355,26 +350,17 @@ class _Problem:
                 tk_sup = self._image_mask(t_k)
                 terms_by_side = []
                 for side in (rule.l, rule.r):
-                    constraint = {}
-                    ok = True
-                    for s in range(len(sig.objects)):
-                        for kk in range(rule.interface.n(s)):
-                            y, t = side.maps[s][kk], t_k.maps[s][kk]
-                            if constraint.get((s, y), t) != t:
-                                ok = False
-                            constraint[(s, y)] = t
                     terms = []
-                    if ok:
-                        for t_y in enumerate_homs(side.cod, T, constraint=constraint):
-                            sup = self._image_mask(t_y)
-                            exps: dict[int, int] = {}
-                            for s in range(len(sig.objects)):
-                                lab_row = side.cod.labels[s]
-                                for i, j in enumerate(t_y.maps[s]):
-                                    g = self.offset[s] + j
-                                    if self.admissible.get((s, lab_row[i]), False):
-                                        exps[g] = exps.get(g, 0) + 1
-                            terms.append((sup, tuple(sorted(exps.items()))))
+                    for t_y in extensions(side, t_k):
+                        sup = self._image_mask(t_y)
+                        exps: dict[int, int] = {}
+                        for s in range(len(sig.objects)):
+                            lab_row = side.cod.labels[s]
+                            for i, j in enumerate(t_y.maps[s]):
+                                g = self.offset[s] + j
+                                if self.admissible.get((s, lab_row[i]), False):
+                                    exps[g] = exps.get(g, 0) + 1
+                        terms.append((sup, tuple(sorted(exps.items()))))
                     terms_by_side.append(tuple(terms))
                 cid = len(self.constraints)
                 self.constraints.append(
@@ -387,14 +373,7 @@ class _Problem:
 
     def _build_candidates(self):
         sig, T = self.sig, self.T
-        fbases = []
-        slots = []
-        for s in sig.base_sorts:
-            for lab in sig.element_labels(s):
-                ids = [i for i in range(T.n(s)) if T.labels[s][i] == lab]
-                slots.append(((s, lab), ids))
-        for combo in itertools.product(*(ids for _, ids in slots)):
-            fbases.append({key: i for (key, _), i in zip(slots, combo)})
+        fbases = list(flower_bases(T))
         self.cands: list[list[_Cand]] = []
         for ri, rule in enumerate(self.rules):
             cands: dict[tuple, _Cand] = {}
@@ -407,9 +386,7 @@ class _Problem:
             else:
                 cs = [(c, None) for c in enumerate_homs(rule.left, T)]
             for c, fb in cs:
-                image = {
-                    (s, j) for s in range(len(sig.objects)) for j in c.maps[s]
-                }
+                image = image_elements(c)
                 best_req = None
                 for fb2 in [fb] if fb is not None else fbases:
                     start = image | {(s, i) for (s, _), i in fb2.items()}
@@ -604,27 +581,30 @@ class _Search:
 
     # --- rule feasibility ---------------------------------------------
 
-    def _removable_possible(self, ri) -> bool:
+    def _removal(self, ri):
+        """(class, closure candidate) that can still remove rule ri, or
+        None: the first live candidate strict at its closure t_K,
+        uniform when no constraint blocks that, else closureDecreasing
+        over a strictly monotonic semiring when weak decrease holds."""
         p = self.p
         if p.epi[ri] and p.kind.kind in ("arithmetic", "arctic"):
-            return False
-        uniform_ok = self.uniform_blocked[ri] == 0
-        weak_ok = self.weak_blocked[ri] == 0
-        closure_dec_ok = weak_ok and p.kind.strictly_monotonic
-        if not (uniform_ok or closure_dec_ok):
-            return False
+            return None
+        if self.uniform_blocked[ri] == 0:
+            cls = "uniform"
+        elif self.weak_blocked[ri] == 0 and p.kind.strictly_monotonic:
+            cls = "closureDecreasing"
+        else:
+            return None
         absent = self.absent_mask
         for cand in p.cands[ri]:
-            if cand.required & absent:
-                continue
-            if self.cstate[cand.tkc_cid][1]:
-                return True
-        return False
+            if not cand.required & absent and self.cstate[cand.tkc_cid][1]:
+                return cls, cand
+        return None
 
     def _prune(self, target: int) -> bool:
         removable = 0
         for ri in range(len(self.p.rules)):
-            if self._removable_possible(ri):
+            if self._removal(ri) is not None:
                 removable += 1
             elif self.weak_blocked[ri] > 0:
                 return True
@@ -637,26 +617,11 @@ class _Search:
         entries = []
         removed = []
         for ri, rule in enumerate(p.rules):
-            uniform_ok = self.uniform_blocked[ri] == 0
-            weak_ok = self.weak_blocked[ri] == 0
-            blocked = p.epi[ri] and p.kind.kind in ("arithmetic", "arctic")
-            chosen = None
-            if not blocked:
-                for cand in p.cands[ri]:
-                    if cand.required & self.absent_mask:
-                        continue
-                    if not self.cstate[cand.tkc_cid][1]:
-                        continue
-                    if uniform_ok:
-                        chosen = (cand, "uniform")
-                        break
-                    if weak_ok and p.kind.strictly_monotonic:
-                        chosen = (cand, "closureDecreasing")
-                        break
+            chosen = self._removal(ri)
             if chosen is not None:
                 removed.append(ri)
-                entries.append((rule.name, chosen[1], chosen[0]))
-            elif weak_ok:
+                entries.append((rule.name, *chosen))
+            elif self.weak_blocked[ri] == 0:
                 entries.append((rule.name, "weak", None))
             else:
                 return None
@@ -769,7 +734,6 @@ def _masked_step(problem: _Problem, entries, removed, val) -> CertStep:
     """Materialize the pruned type graph and certificate entries."""
     p = problem
     sig, T = p.sig, p.T
-    keep = []
     new_id: list[dict[int, int]] = [dict() for _ in sig.objects]
     args: list[list[tuple[int, ...]]] = [[] for _ in sig.objects]
     labels: list[list[Optional[str]]] = [[] for _ in sig.objects]
@@ -828,18 +792,18 @@ def search_wtg(
     within the budget."""
     if not rules:
         return SearchOutcome("exhausted")
+    epi = [detect_collapse_epi(r) for r in rules]
     warnings = []
-    for r in rules:
-        if detect_collapse_epi(r):
+    for r, collapses in zip(rules, epi):
+        if collapses:
             warnings.append(
                 f"rule {r.name} folds its right side onto its left "
                 f"(e∘r = l for an epimorphism e); it cannot decrease strictly "
                 f"over the arithmetic or arctic semiring"
             )
     deadline = time.monotonic() + budget.timeout_seconds
-    timed_out = False
     for n in range(1, budget.size + 1):
-        problem = _Problem(rules, fw, kind, budget.bits, n)
+        problem = _Problem(rules, fw, kind, budget.bits, n, epi=epi)
         search = _Search(problem, deadline)
         try:
             best = None
@@ -869,9 +833,8 @@ def search_wtg(
                     "found", step, step.removed, tuple(warnings)
                 )
         except _Timeout:
-            timed_out = True
-            break
-    return SearchOutcome("timeout" if timed_out else "exhausted", warnings=tuple(warnings))
+            return SearchOutcome("timeout", warnings=tuple(warnings))
+    return SearchOutcome("exhausted", warnings=tuple(warnings))
 
 
 # --- strategy interpretation ---------------------------------------------

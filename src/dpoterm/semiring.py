@@ -32,13 +32,6 @@ ARCTIC = SemiringDescriptor("arctic", False)
 SEMIRINGS = {s.kind: s for s in (ARITHMETIC, TROPICAL, ARCTIC)}
 
 
-def semiring_by_name(kind: str) -> SemiringDescriptor:
-    try:
-        return SEMIRINGS[kind]
-    except KeyError:
-        raise SemiringError(f"unknown semiring kind {kind!r}") from None
-
-
 def zero(k: SemiringDescriptor) -> Weight:
     if k.kind == "arithmetic":
         return 0
@@ -111,13 +104,6 @@ def s_sum(k: SemiringDescriptor, vals: Iterable[Weight]) -> Weight:
     acc = zero(k)
     for v in vals:
         acc = s_add(k, acc, v)
-    return acc
-
-
-def s_prod(k: SemiringDescriptor, vals: Iterable[Weight]) -> Weight:
-    acc = one(k)
-    for v in vals:
-        acc = s_mul(k, acc, v)
     return acc
 
 

@@ -49,9 +49,6 @@ class IndexSignature:
         except KeyError:
             raise SignatureError(f"unknown sort {name!r}") from None
 
-    def decl(self, s: int) -> ObjectDecl:
-        return self.objects[s]
-
     def arg_sorts(self, s: int) -> tuple[int, ...]:
         return tuple(self.index[t] for t in self.objects[s].args)
 

@@ -275,10 +275,6 @@ def _print_map(dom: CGraph, cod: CGraph, mor: Morphism) -> str:
 
 def print_system(system: System) -> str:
     out = ["signature", print_signature(system.sig), "end", ""]
-    rule_graphs = {}
-    for r in system.rules:
-        for tag, g in (("L", r.left), ("K", r.interface), ("R", r.right)):
-            rule_graphs.setdefault(id(g), None)
     names_by_graph: dict[int, str] = {}
     for name, g in system.graphs.items():
         names_by_graph.setdefault(id(g), name)

@@ -2,10 +2,9 @@
 classification, context closures and the pushout decomposition check.
 
 A weighted element is a morphism from a representable shape into the
-type graph. Because those shapes are free on one generator, occurrence
-counting reduces to counting generator preimages, which is the fast
-path used everywhere; the generic enumeration is kept for diagnostics
-on non-free shapes.
+type graph. Because those shapes are free on one generator (validate
+rejects any other shape), occurrence counting reduces to counting
+generator preimages.
 """
 from __future__ import annotations
 
@@ -18,7 +17,14 @@ import itertools
 from . import semiring as sr
 from .dpo import Framework, OrientedSquare, Rule
 from .graph import CGraph, ElementRef
-from .morphism import Morphism, MorphismError, compose, enumerate_homs, factor_through
+from .morphism import (
+    Morphism,
+    MorphismError,
+    compose,
+    enumerate_homs,
+    extensions,
+    image_elements,
+)
 from .semiring import SemiringDescriptor, Weight
 from .signature import representable_shapes
 
@@ -92,67 +98,42 @@ def element_at(
     raise WtgError(f"no representable shape for {sort_name} with label {label!r}")
 
 
-def _occurrences(we: WeightedElement, phi: Morphism) -> int:
+def weight_of_morphism(
+    wtg: WeightedTypeGraph, phi: Morphism, exclude: Optional[Morphism] = None
+) -> Weight:
+    """The product of every element's weight raised to its number of
+    occurrences in phi. With exclude = alpha: A -> dom(phi), only the
+    occurrences that do not factor through alpha count."""
+    if phi.cod != wtg.T:
+        raise MorphismError("weight: morphism does not end in T")
+    if exclude is not None and exclude.cod != phi.dom:
+        raise MorphismError("weight: exclusion morphism does not end in dom(phi)")
     G = phi.dom
-    s = we.gen.sort
-    if we.is_free:
-        return sum(
-            1
-            for y in range(G.n(s))
-            if G.labels[s][y] == we.gen_label and phi.maps[s][y] == we.target
-        )
-    return len(enumerate_homs(we.shape, G, fiber=(phi, we.e)))
-
-
-def _occurrences_excluding(we: WeightedElement, phi: Morphism, alpha: Morphism) -> int:
-    G = phi.dom
-    s = we.gen.sort
-    if we.is_free:
-        excluded = set(alpha.maps[s])
-        return sum(
+    k = wtg.semiring
+    acc = sr.one(k)
+    for we in wtg.elements:
+        s = we.gen.sort
+        # a free shape's occurrence factors through alpha iff its
+        # generator's image lies in alpha's image
+        excluded = set(exclude.maps[s]) if exclude is not None else ()
+        n = sum(
             1
             for y in range(G.n(s))
             if G.labels[s][y] == we.gen_label
             and phi.maps[s][y] == we.target
             and y not in excluded
         )
-    taus = enumerate_homs(we.shape, G, fiber=(phi, we.e))
-    return sum(1 for tau in taus if not factor_through(tau, alpha))
-
-
-def weight_of_morphism(wtg: WeightedTypeGraph, phi: Morphism) -> Weight:
-    if phi.cod != wtg.T:
-        raise MorphismError("weight_of_morphism: morphism does not end in T")
-    k = wtg.semiring
-    acc = sr.one(k)
-    for we in wtg.elements:
-        acc = sr.s_mul(k, acc, sr.s_pow(k, we.weight, _occurrences(we, phi)))
+        acc = sr.s_mul(k, acc, sr.s_pow(k, we.weight, n))
     return acc
 
 
-def weight_of_morphism_excluding(
-    wtg: WeightedTypeGraph, phi: Morphism, alpha: Morphism
-) -> Weight:
-    """Weight of phi counting only occurrences that do not factor
-    through alpha: A -> dom(phi)."""
-    if phi.cod != wtg.T:
-        raise MorphismError("weight: morphism does not end in T")
-    if alpha.cod != phi.dom:
-        raise MorphismError("weight: exclusion morphism does not end in dom(phi)")
-    k = wtg.semiring
-    acc = sr.one(k)
-    for we in wtg.elements:
-        acc = sr.s_mul(
-            k, acc, sr.s_pow(k, we.weight, _occurrences_excluding(we, phi, alpha))
-        )
-    return acc
+def _weight_sum(wtg: WeightedTypeGraph, homs) -> Weight:
+    """The semiring sum of the weights of the given morphisms."""
+    return sr.s_sum(wtg.semiring, (weight_of_morphism(wtg, phi) for phi in homs))
 
 
 def weight_of_object(wtg: WeightedTypeGraph, G: CGraph) -> Weight:
-    k = wtg.semiring
-    return sr.s_sum(
-        k, (weight_of_morphism(wtg, phi) for phi in enumerate_homs(G, wtg.T))
-    )
+    return _weight_sum(wtg, enumerate_homs(G, wtg.T))
 
 
 def side_homs(
@@ -161,26 +142,20 @@ def side_homs(
     """All t_Y: Y -> T with t_Y ∘ side = t_K, for side: K -> Y."""
     if t_k.cod != wtg.T:
         raise MorphismError("side_homs: t_K does not end in T")
-    if t_k.dom != side.dom:
-        raise MorphismError("side_homs: t_K and the side share no interface")
-    constraint: dict[tuple[int, int], int] = {}
-    for s in range(len(side.maps)):
-        for kk in range(len(side.maps[s])):
-            y, t = side.maps[s][kk], t_k.maps[s][kk]
-            if constraint.get((s, y), t) != t:
-                return []
-            constraint[(s, y)] = t
-    return enumerate_homs(side.cod, wtg.T, constraint=constraint)
+    return extensions(side, t_k)
 
 
 def side_weight(wtg: WeightedTypeGraph, side: Morphism, t_k: Morphism) -> Weight:
-    k = wtg.semiring
-    return sr.s_sum(
-        k, (weight_of_morphism(wtg, t_y) for t_y in side_homs(wtg, side, t_k))
-    )
+    return _weight_sum(wtg, side_homs(wtg, side, t_k))
 
 
-CLASS_ORDER = ("none", "weak", "closureDecreasing", "uniform")
+def side_comparisons(wtg: WeightedTypeGraph, rule: Rule):
+    """(t_K, w_L, w_R, both sides empty) for every t_K: K -> T, where
+    w_L and w_R sum the weights of t_K's extensions along l and r."""
+    for t_k in enumerate_homs(rule.interface, wtg.T):
+        ls = side_homs(wtg, rule.l, t_k)
+        rs = side_homs(wtg, rule.r, t_k)
+        yield t_k, _weight_sum(wtg, ls), _weight_sum(wtg, rs), not ls and not rs
 
 
 def classify_rule(
@@ -197,17 +172,13 @@ def classify_rule(
     uniform_cmp = True
     strict_at_closure = False
     t_kc = compose(closure, rule.l).maps if closure is not None else None
-    for t_k in enumerate_homs(rule.interface, wtg.T):
-        ls = side_homs(wtg, rule.l, t_k)
-        rs = side_homs(wtg, rule.r, t_k)
-        wl = sr.s_sum(k, (weight_of_morphism(wtg, t) for t in ls))
-        wr = sr.s_sum(k, (weight_of_morphism(wtg, t) for t in rs))
+    for t_k, wl, wr, empty in side_comparisons(wtg, rule):
         if not sr.s_le(k, wr, wl):
             weak = False
         strict = sr.s_lt(k, wr, wl)
-        if not (strict or (not ls and not rs)):
+        if not (strict or empty):
             uniform_cmp = False
-        if t_kc is not None and t_k.maps == t_kc and strict:
+        if t_k.maps == t_kc and strict:
             strict_at_closure = True
     if uniform_cmp and closure is not None:
         return "uniform"
@@ -216,7 +187,9 @@ def classify_rule(
     return "weak" if weak else "none"
 
 
-def _flower_base_choices(T: CGraph):
+def flower_bases(T: CGraph):
+    """Every choice of one base element per (base sort, label), as a
+    dict (sort, label) -> element id."""
     sig = T.sig
     slots = []
     for s in sig.base_sorts:
@@ -293,10 +266,8 @@ def verify_context_closure(c: Morphism, rule: Rule, fw: Framework) -> bool:
     if c.dom != rule.left:
         raise MorphismError("closure must start at the rule's left side")
     T = c.cod
-    image = {
-        (s, j) for s in range(len(c.maps)) for j in c.maps[s]
-    }
-    for fbase in _flower_base_choices(T):
+    image = image_elements(c)
+    for fbase in flower_bases(T):
         start = image | {(s, i) for (s, _), i in fbase.items()}
         if saturation_closure(T, start) is None:
             continue
@@ -320,7 +291,7 @@ def verify_decomposition(
         raise MorphismError("verify_decomposition: phi must start at the pushout")
     k = wtg.semiring
     left = weight_of_morphism(wtg, compose(phi, square.beta_p))
-    right = weight_of_morphism_excluding(wtg, compose(phi, square.alpha_p), square.beta)
+    right = weight_of_morphism(wtg, compose(phi, square.alpha_p), square.beta)
     bound = sr.s_mul(k, left, right)
     w = weight_of_morphism(wtg, phi)
     return {"exact": w == bound, "upper": sr.s_le(k, w, bound), "w": w, "bound": bound}
@@ -330,15 +301,8 @@ def detect_collapse_epi(rule: Rule) -> bool:
     """True when some epimorphism e: R -> L satisfies e∘r = l; such
     rules cannot strictly decrease over the arithmetic or arctic
     semiring (every left hom lifts with no fewer occurrences)."""
-    K, L, R = rule.interface, rule.left, rule.right
-    constraint: dict[tuple[int, int], int] = {}
-    for s in range(len(K.sig.objects)):
-        for kk in range(K.n(s)):
-            y, t = rule.r.maps[s][kk], rule.l.maps[s][kk]
-            if constraint.get((s, y), t) != t:
-                return False
-            constraint[(s, y)] = t
-    for e in enumerate_homs(R, L, constraint=constraint):
+    L = rule.left
+    for e in extensions(rule.r, rule.l):
         if all(set(e.maps[s]) == set(range(L.n(s))) for s in range(len(L.sig.objects))):
             return True
     return False

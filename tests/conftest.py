@@ -1,12 +1,18 @@
 from __future__ import annotations
 
 import random
+import time
+from pathlib import Path
 
 import pytest
 
 from dpoterm.graph import CGraph, validate_instance
 from dpoterm.morphism import Morphism
+from dpoterm.prover import DEFAULT_STRATEGY, run_strategy
 from dpoterm.signature import parse_signature
+from dpoterm.sysfile import parse_system_file
+
+SYSTEMS = Path(__file__).resolve().parent.parent / "systems"
 
 GRAPH_SIG = parse_signature("V edge(V,V)")
 LABELLED_SIG = parse_signature("V edge[a,b,c,d](V,V)")
@@ -47,34 +53,6 @@ def named_map(dom: CGraph, cod: CGraph, assignment: dict[str, str]) -> Morphism:
     return m
 
 
-def random_graph(sig, rng: random.Random, max_base=4, max_per_sort=5) -> CGraph:
-    args = [[] for _ in sig.objects]
-    labels = [[] for _ in sig.objects]
-    for s in sig.base_sorts:
-        for _ in range(rng.randint(1, max_base)):
-            args[s].append(())
-            labels[s].append(None)
-    for s in sig.topo_order:
-        if sig.is_base(s):
-            continue
-        targets = sig.arg_sorts(s)
-        want = rng.randint(0, max_per_sort)
-        tries = 0
-        while len(args[s]) < want and tries < 40:
-            tries += 1
-            tup = tuple(rng.randrange(len(args[t])) for t in targets)
-            lab = rng.choice(sig.element_labels(s))
-            if sig.objects[s].simple and any(
-                a == tup and l == lab for a, l in zip(args[s], labels[s])
-            ):
-                continue
-            args[s].append(tup)
-            labels[s].append(lab)
-    g = CGraph(sig, tuple(tuple(a) for a in args), tuple(tuple(l) for l in labels))
-    validate_instance(g)
-    return g
-
-
 def random_host_containing(pattern: CGraph, rng: random.Random, extra_base=2, extra_elems=3) -> CGraph:
     """A random graph that embeds the pattern (its elements come first)."""
     sig = pattern.sig
@@ -110,3 +88,16 @@ def random_host_containing(pattern: CGraph, rng: random.Random, extra_base=2, ex
 @pytest.fixture
 def rng():
     return random.Random(0xD1CE)
+
+
+@pytest.fixture(scope="session")
+def searched():
+    """Every system in systems/ proved once with the default strategy:
+    name -> (system, certificate, seconds)."""
+    out = {}
+    for path in sorted(SYSTEMS.glob("*.gts")):
+        system = parse_system_file(path.read_text())
+        t0 = time.monotonic()
+        res = run_strategy(system, DEFAULT_STRATEGY)
+        out[path.stem] = (system, res.certificate, time.monotonic() - t0)
+    return out

@@ -165,3 +165,15 @@ def test_wrong_verdict_rejected(proved):
     system, cert = proved["loop_unfolding"]
     bad = replace(cert, verdict="failed", remaining=("unfold",))
     assert not check_certificate(system, bad).accepted
+
+
+def test_repeated_removal_rejected(proved):
+    system, cert = proved["limitations"]
+    step = cert.steps[0]
+    text = write_certificate(cert).replace(
+        f"removed {step.removed[0]}", f"removed {step.removed[0]} {step.removed[0]}"
+    )
+    bad = read_certificate(system.sig, text)
+    assert bad.steps[0].removed == (step.removed[0],) * 2
+    got = check_certificate(system, bad)
+    assert not got.accepted and "twice" in got.reason

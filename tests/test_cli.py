@@ -1,7 +1,11 @@
 from __future__ import annotations
 
+import json
 from pathlib import Path
 
+import pytest
+
+from dpoterm.certificate import certificate_to_json
 from dpoterm.cli import main
 
 SYSTEMS = Path(__file__).resolve().parent.parent / "systems"
@@ -117,3 +121,45 @@ def test_smtlib_export(tmp_path, capsys):
     ]
     body = (outdir / "loop_unfolding-arithmetic.smt2").read_text()
     assert body.count("(") == body.count(")")
+
+
+def _drop_steps(data):
+    del data["steps"]
+
+
+def _null_rules(data):
+    data["steps"][0]["rules"] = None
+
+
+def _short_type_graph_row(data):
+    data["steps"][0]["typeGraph"][0] = data["steps"][0]["typeGraph"][0][:2]
+
+
+def _null_rule_name(data):
+    data["steps"][0]["rules"][0]["rule"] = None
+
+
+@pytest.mark.parametrize(
+    "mutate", [_drop_steps, _null_rules, _short_type_graph_row, _null_rule_name]
+)
+def test_check_malformed_json_is_input_error(searched, tmp_path, capsys, mutate):
+    _, cert, _ = searched["limitations"]
+    data = json.loads(certificate_to_json(cert))
+    mutate(data)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    assert main(["check", str(SYSTEMS / "limitations.gts"), str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [b'{"version": 1, "steps": ' + b"[" * 100_000, b"\xff\xfe{"],
+    ids=["deeply-nested", "not-utf8"],
+)
+def test_check_unreadable_certificate_is_input_error(tmp_path, capsys, payload):
+    path = tmp_path / "bad.cert"
+    path.write_bytes(payload)
+    assert main(["check", str(SYSTEMS / "limitations.gts"), str(path)]) == 1
+    assert capsys.readouterr().err.startswith("error:")

@@ -19,8 +19,9 @@ from dpoterm.dpo import (
 from dpoterm.graph import CGraph, canonical_key
 from dpoterm.morphism import Morphism, compose, enumerate_homs, identity
 from dpoterm.signature import parse_signature, representable_shapes
+from dpoterm.verify import random_instance
 
-from conftest import GRAPH_SIG, LABELLED_SIG, graph, named_map, random_graph
+from conftest import GRAPH_SIG, LABELLED_SIG, graph, named_map
 
 SIMPLE_LAB_SIG = parse_signature("V edge[x](V,V)!")
 
@@ -82,10 +83,10 @@ def test_pushout_glue_two_edges_into_path():
 def test_pushout_universal_property(sig, rng):
     spans = 0
     while spans < 100:
-        a = random_graph(sig, rng, max_base=2, max_per_sort=2)
-        b = random_graph(sig, rng, max_base=2, max_per_sort=2)
-        c = random_graph(sig, rng, max_base=2, max_per_sort=2)
-        z = random_graph(sig, rng, max_base=2, max_per_sort=3)
+        a = random_instance(sig, rng, max_base=2, max_elems=2)
+        b = random_instance(sig, rng, max_base=2, max_elems=2)
+        c = random_instance(sig, rng, max_base=2, max_elems=2)
+        z = random_instance(sig, rng, max_base=2, max_elems=3)
         fs, gs = enumerate_homs(a, b), enumerate_homs(a, c)
         if not fs or not gs:
             continue
@@ -108,9 +109,9 @@ def test_pushout_universal_property(sig, rng):
 def test_pushout_along_mono_is_pullback(rng):
     done = 0
     while done < 60:
-        a = random_graph(GRAPH_SIG, rng, max_base=2, max_per_sort=2)
-        b = random_graph(GRAPH_SIG, rng, max_base=3, max_per_sort=3)
-        c = random_graph(GRAPH_SIG, rng, max_base=2, max_per_sort=3)
+        a = random_instance(GRAPH_SIG, rng, max_base=2, max_elems=2)
+        b = random_instance(GRAPH_SIG, rng, max_base=3, max_elems=3)
+        c = random_instance(GRAPH_SIG, rng, max_base=2, max_elems=3)
         monos = enumerate_homs(a, b, mono_only=True)
         gs = enumerate_homs(a, c)
         if not monos or not gs:
@@ -146,9 +147,9 @@ def test_pushout_along_regular_mono_is_pullback_simple(rng):
 
     done = 0
     while done < 30:
-        a = random_graph(SIMPLE_LAB_SIG, rng, max_base=2, max_per_sort=2)
-        b = random_graph(SIMPLE_LAB_SIG, rng, max_base=3, max_per_sort=3)
-        c = random_graph(SIMPLE_LAB_SIG, rng, max_base=2, max_per_sort=2)
+        a = random_instance(SIMPLE_LAB_SIG, rng, max_base=2, max_elems=2)
+        b = random_instance(SIMPLE_LAB_SIG, rng, max_base=3, max_elems=3)
+        c = random_instance(SIMPLE_LAB_SIG, rng, max_base=2, max_elems=2)
         regs = [
             f
             for f in enumerate_homs(a, b, mono_only=True)
@@ -176,9 +177,9 @@ def test_traceability_of_representables_along_pushouts(sig, rng):
     shapes = representable_shapes(sig)
     done = 0
     while done < 40:
-        a = random_graph(sig, rng, max_base=2, max_per_sort=2)
-        b = random_graph(sig, rng, max_base=2, max_per_sort=3)
-        c = random_graph(sig, rng, max_base=2, max_per_sort=3)
+        a = random_instance(sig, rng, max_base=2, max_elems=2)
+        b = random_instance(sig, rng, max_base=2, max_elems=3)
+        c = random_instance(sig, rng, max_base=2, max_elems=3)
         fs, gs = enumerate_homs(a, b), enumerate_homs(a, c)
         if not fs or not gs:
             continue
@@ -254,7 +255,7 @@ def test_complement_roundtrip_random(rng):
     rule = _string_rule_rho()
     found = 0
     while found < 25:
-        host = random_graph(LABELLED_SIG, rng, max_base=3, max_per_sort=4)
+        host = random_instance(LABELLED_SIG, rng, max_base=3, max_elems=4)
         for m in enumerate_homs(rule.left, host):
             pc = pushout_complement(rule.l, m)
             if pc is None:

@@ -13,8 +13,9 @@ from dpoterm.graph import (
 )
 from dpoterm.morphism import enumerate_homs
 from dpoterm.signature import parse_signature
+from dpoterm.verify import random_instance
 
-from conftest import GRAPH_SIG, LABELLED_SIG, SIMPLE_SIG, graph, random_graph
+from conftest import GRAPH_SIG, LABELLED_SIG, SIMPLE_SIG, graph
 
 
 def test_validate_ok():
@@ -98,13 +99,13 @@ def _isomorphic(a: CGraph, b: CGraph) -> bool:
 @pytest.mark.parametrize("sig", [GRAPH_SIG, LABELLED_SIG, SIMPLE_SIG])
 def test_canonical_respects_iso(sig, rng):
     for _ in range(70):
-        g = random_graph(sig, rng, max_base=3, max_per_sort=4)
+        g = random_instance(sig, rng, max_base=3, max_elems=4)
         h = _permuted(g, rng)
         assert canonical_key(g) == canonical_key(h)
 
 
 def test_canonical_separates_noniso(rng):
-    graphs = [random_graph(GRAPH_SIG, rng, max_base=3, max_per_sort=3) for _ in range(40)]
+    graphs = [random_instance(GRAPH_SIG, rng, max_base=3, max_elems=3) for _ in range(40)]
     for i, a in enumerate(graphs):
         for b in graphs[i + 1 :]:
             same_key = canonical_key(a) == canonical_key(b)

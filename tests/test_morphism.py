@@ -15,8 +15,9 @@ from dpoterm.morphism import (
     is_x_monic,
 )
 from dpoterm.signature import parse_signature, representable_shapes
+from dpoterm.verify import random_instance
 
-from conftest import GRAPH_SIG, LABELLED_SIG, SIMPLE_SIG, graph, named_map, random_graph
+from conftest import GRAPH_SIG, LABELLED_SIG, SIMPLE_SIG, graph, named_map
 
 
 def test_enumerate_point_into_two_nodes():
@@ -47,8 +48,8 @@ def test_enumerate_with_constraint_loop_unfolding():
 
 
 def test_compose_identities(rng):
-    g = random_graph(GRAPH_SIG, rng)
-    h = random_graph(GRAPH_SIG, rng)
+    g = random_instance(GRAPH_SIG, rng, max_elems=5)
+    h = random_instance(GRAPH_SIG, rng, max_elems=5)
     for f in enumerate_homs(g, h)[:5]:
         assert compose(f, identity(g)) == f
         assert compose(identity(h), f) == f
@@ -56,9 +57,9 @@ def test_compose_identities(rng):
 
 def test_compose_associative(rng):
     for _ in range(20):
-        a = random_graph(GRAPH_SIG, rng, max_base=2, max_per_sort=2)
-        b = random_graph(GRAPH_SIG, rng, max_base=2, max_per_sort=2)
-        c = random_graph(GRAPH_SIG, rng, max_base=2, max_per_sort=3)
+        a = random_instance(GRAPH_SIG, rng, max_base=2, max_elems=2)
+        b = random_instance(GRAPH_SIG, rng, max_base=2, max_elems=2)
+        c = random_instance(GRAPH_SIG, rng, max_base=2, max_elems=3)
         fs, gs = enumerate_homs(b, c), enumerate_homs(a, b)
         hs = enumerate_homs(c, c)
         if not (fs and gs and hs):
@@ -119,8 +120,8 @@ def test_x_monic_cases():
 
 def test_monic_implies_x_monic(rng):
     for _ in range(10):
-        g = random_graph(GRAPH_SIG, rng, max_base=2, max_per_sort=2)
-        h = random_graph(GRAPH_SIG, rng, max_base=3, max_per_sort=4)
+        g = random_instance(GRAPH_SIG, rng, max_base=2, max_elems=2)
+        h = random_instance(GRAPH_SIG, rng, max_base=3, max_elems=4)
         for f in enumerate_homs(g, h, mono_only=True)[:3]:
             for shape, _ in representable_shapes(GRAPH_SIG):
                 assert is_x_monic(f, shape)
@@ -128,8 +129,8 @@ def test_monic_implies_x_monic(rng):
 
 def test_mono_only_is_a_filter(rng):
     for _ in range(10):
-        g = random_graph(GRAPH_SIG, rng, max_base=2, max_per_sort=2)
-        h = random_graph(GRAPH_SIG, rng, max_base=2, max_per_sort=3)
+        g = random_instance(GRAPH_SIG, rng, max_base=2, max_elems=2)
+        h = random_instance(GRAPH_SIG, rng, max_base=2, max_elems=3)
         all_homs = enumerate_homs(g, h)
         monos = enumerate_homs(g, h, mono_only=True)
         assert monos == [f for f in all_homs if classify_monicity(f)["monic"]]
@@ -138,7 +139,7 @@ def test_mono_only_is_a_filter(rng):
 def test_hom_count_iso_invariant(rng):
     g = graph(GRAPH_SIG, ["a", "b"], [("e", "a", "b")])
     g2 = graph(GRAPH_SIG, ["b", "a"], [("e", "b", "a")])  # same up to renaming
-    h = random_graph(GRAPH_SIG, rng)
+    h = random_instance(GRAPH_SIG, rng, max_elems=5)
     assert len(enumerate_homs(g, h)) == len(enumerate_homs(g2, h))
 
 
@@ -184,8 +185,8 @@ def test_count_triangles_merged_nodes():
 
 def test_count_triangles_cross_check(rng):
     for _ in range(15):
-        g = random_graph(GRAPH_SIG, rng, max_base=2, max_per_sort=3)
-        t = random_graph(GRAPH_SIG, rng, max_base=2, max_per_sort=3)
+        g = random_instance(GRAPH_SIG, rng, max_base=2, max_elems=3)
+        t = random_instance(GRAPH_SIG, rng, max_base=2, max_elems=3)
         shape, _ = representable_shapes(GRAPH_SIG)[1]
         phis = enumerate_homs(g, t)
         es = enumerate_homs(shape, t)

@@ -162,3 +162,22 @@ def test_smtlib_tau_size1_unsat_agrees():
         system.rules, system.framework, SEMIRINGS["tropical"], SearchBudget(1, 4, 60)
     )
     assert out.status == "exhausted"
+
+
+def test_collapse_test_runs_once_per_rule(monkeypatch):
+    import dpoterm.prover as prover
+
+    calls = []
+    original = prover.detect_collapse_epi
+
+    def counted(rule):
+        calls.append(rule.name)
+        return original(rule)
+
+    monkeypatch.setattr(prover, "detect_collapse_epi", counted)
+    system = load("limitations_tau")
+    out = search_wtg(
+        system.rules, system.framework, SEMIRINGS["arithmetic"], SearchBudget(3, 3, 60)
+    )
+    assert out.status == "exhausted"  # so sizes 1, 2 and 3 were all built
+    assert len(calls) == len(system.rules)

@@ -12,8 +12,9 @@ from dpoterm.signature import (
     representable_shapes,
     validate_signature,
 )
+from dpoterm.verify import random_instance
 
-from conftest import GRAPH_SIG, random_graph
+from conftest import GRAPH_SIG
 
 
 def test_parse_plain_graph():
@@ -95,7 +96,7 @@ def test_shape_count_formula():
 def test_shape_unique_morphism_per_anchor(rng):
     # each shape admits exactly one morphism into a graph per legal image
     # of its generator
-    g = random_graph(GRAPH_SIG, rng)
+    g = random_instance(GRAPH_SIG, rng, max_elems=5)
     for shape, gen in representable_shapes(GRAPH_SIG):
         homs = enumerate_homs(shape, g)
         anchors = {h.maps[gen.sort][gen.id] for h in homs}

@@ -26,6 +26,7 @@ from dpoterm.morphism import (
 )
 from dpoterm.semiring import ARITHMETIC, POS_INF, TROPICAL
 from dpoterm.signature import parse_signature, representable_shapes
+from dpoterm.verify import random_instance
 from dpoterm.wtg import (
     WeightedElement,
     WeightedTypeGraph,
@@ -38,12 +39,11 @@ from dpoterm.wtg import (
     verify_context_closure,
     verify_decomposition,
     weight_of_morphism,
-    weight_of_morphism_excluding,
     weight_of_object,
 )
 
 import worked_examples as ex
-from conftest import GRAPH_SIG, graph, named_map, random_graph
+from conftest import GRAPH_SIG, graph, named_map
 
 
 def brute_weight_of_morphism(wtg, phi):
@@ -76,7 +76,7 @@ def brute_weight_excluding(wtg, phi, alpha):
 def test_empty_element_set_weighs_one(rng):
     T = graph(GRAPH_SIG, ["a", "b"], [("l", "a", "a")])
     wtg = WeightedTypeGraph(T, (), ARITHMETIC)
-    g = random_graph(GRAPH_SIG, rng, max_base=2, max_per_sort=2)
+    g = random_instance(GRAPH_SIG, rng, max_base=2, max_elems=2)
     for phi in enumerate_homs(g, T):
         assert weight_of_morphism(wtg, phi) == 1
 
@@ -95,13 +95,13 @@ def test_simple_fold_tropical_weight():
 
 def test_excluding_iso_alpha(rng):
     ru, fw, wtg, closure = ex.loop_unfolding()
-    assert weight_of_morphism_excluding(wtg, closure, identity(ru.left)) == 1
+    assert weight_of_morphism(wtg, closure, identity(ru.left)) == 1
 
 
 def test_excluding_initial_alpha(rng):
     ru, fw, wtg, closure = ex.loop_unfolding()
     alpha = Morphism(empty_graph(GRAPH_SIG), ru.left, ((), ()))
-    assert weight_of_morphism_excluding(wtg, closure, alpha) == weight_of_morphism(
+    assert weight_of_morphism(wtg, closure, alpha) == weight_of_morphism(
         wtg, closure
     )
 
@@ -112,12 +112,12 @@ def test_weights_match_brute_force(rng):
         T, (element_at(T, "V", None, 0, 2), element_at(T, "edge", None, 1, 3)), ARITHMETIC
     )
     for _ in range(12):
-        g = random_graph(GRAPH_SIG, rng, max_base=2, max_per_sort=3)
-        a = random_graph(GRAPH_SIG, rng, max_base=2, max_per_sort=2)
+        g = random_instance(GRAPH_SIG, rng, max_base=2, max_elems=3)
+        a = random_instance(GRAPH_SIG, rng, max_base=2, max_elems=2)
         for phi in enumerate_homs(g, T)[:4]:
             assert weight_of_morphism(wtg, phi) == brute_weight_of_morphism(wtg, phi)
             for alpha in enumerate_homs(a, g)[:3]:
-                assert weight_of_morphism_excluding(
+                assert weight_of_morphism(
                     wtg, phi, alpha
                 ) == brute_weight_excluding(wtg, phi, alpha)
 
@@ -133,7 +133,7 @@ def test_object_weight_empty_hom_is_zero():
 def test_object_weight_counts_homs(rng):
     ru, fw, wtg, closure = ex.morphism_counting()
     for _ in range(8):
-        g = random_graph(GRAPH_SIG, rng, max_base=3, max_per_sort=3)
+        g = random_instance(GRAPH_SIG, rng, max_base=3, max_elems=3)
         assert weight_of_object(wtg, g) == len(enumerate_homs(g, wtg.T))
 
 
@@ -141,7 +141,7 @@ def test_object_weight_brute(rng):
     T = graph(GRAPH_SIG, ["a", "b"], [("l", "a", "a"), ("e", "a", "b")])
     wtg = WeightedTypeGraph(T, (element_at(T, "edge", None, 0, 2),), ARITHMETIC)
     for _ in range(8):
-        g = random_graph(GRAPH_SIG, rng, max_base=2, max_per_sort=3)
+        g = random_instance(GRAPH_SIG, rng, max_base=2, max_elems=3)
         total = 0
         for phi in enumerate_homs(g, T):
             total += brute_weight_of_morphism(wtg, phi)
@@ -307,9 +307,9 @@ def test_decomposition_identity_alpha():
 
 
 def _random_square(rng, sig):
-    a = random_graph(sig, rng, max_base=2, max_per_sort=2)
-    b = random_graph(sig, rng, max_base=2, max_per_sort=3)
-    c = random_graph(sig, rng, max_base=2, max_per_sort=3)
+    a = random_instance(sig, rng, max_base=2, max_elems=2)
+    b = random_instance(sig, rng, max_base=2, max_elems=3)
+    c = random_instance(sig, rng, max_base=2, max_elems=3)
     fs, gs = enumerate_homs(a, b), enumerate_homs(a, c)
     if not fs or not gs:
         return None
@@ -338,7 +338,7 @@ def test_decomposition_on_random_squares(rng):
         if square is None:
             continue
         trials += 1
-        t = random_graph(GRAPH_SIG, rng, max_base=2, max_per_sort=3)
+        t = random_instance(GRAPH_SIG, rng, max_base=2, max_elems=3)
         if t.n(1) == 0:
             continue
         wtg = WeightedTypeGraph(
@@ -380,13 +380,13 @@ def test_weight_lemma_one_nonzero(rng):
     for w, sig in ((wtg, GRAPH_SIG), (trop, ex.SIMPLE_SIG)):
         k = w.semiring
         for _ in range(10):
-            g = random_graph(sig, rng, max_base=2, max_per_sort=2)
-            a = random_graph(sig, rng, max_base=1, max_per_sort=1)
+            g = random_instance(sig, rng, max_base=2, max_elems=2)
+            a = random_instance(sig, rng, max_base=1, max_elems=1)
             for phi in enumerate_homs(g, w.T)[:4]:
                 val = weight_of_morphism(w, phi)
                 assert sr.s_le(k, sr.one(k), val) and val != sr.zero(k)
                 for alpha in enumerate_homs(a, g)[:2]:
-                    val = weight_of_morphism_excluding(w, phi, alpha)
+                    val = weight_of_morphism(w, phi, alpha)
                     assert sr.s_le(k, sr.one(k), val) and val != sr.zero(k)
 
 
@@ -397,7 +397,7 @@ def test_pushout_morphism_bijection(rng):
         if square is None:
             continue
         done += 1
-        t = random_graph(GRAPH_SIG, rng, max_base=2, max_per_sort=3)
+        t = random_instance(GRAPH_SIG, rng, max_base=2, max_elems=3)
         a, b, c, d = square.A, square.alpha.cod, square.beta.cod, square.D
         via = compose(square.beta_p, square.alpha)
         homs_d = enumerate_homs(d, t)
@@ -422,7 +422,7 @@ def test_weighing_pushout_objects_formula(rng):
         square = _random_square(rng, GRAPH_SIG)
         if square is None:
             continue
-        t = random_graph(GRAPH_SIG, rng, max_base=2, max_per_sort=3)
+        t = random_instance(GRAPH_SIG, rng, max_base=2, max_elems=3)
         if t.n(1) == 0:
             continue
         done += 1
@@ -438,7 +438,7 @@ def test_weighing_pushout_objects_formula(rng):
                     part_c = sr.s_add(
                         k,
                         part_c,
-                        weight_of_morphism_excluding(wtg, t_c, square.beta),
+                        weight_of_morphism(wtg, t_c, square.beta),
                     )
             part_b = sr.zero(k)
             for t_b in enumerate_homs(square.alpha.cod, t):
@@ -456,7 +456,7 @@ def test_decreasing_steps_loop_unfolding(rng):
     ru, fw, wtg, closure = ex.loop_unfolding()
     checked = 0
     for _ in range(25):
-        host = random_graph(GRAPH_SIG, rng, max_base=3, max_per_sort=4)
+        host = random_instance(GRAPH_SIG, rng, max_base=3, max_elems=4)
         for m, diag in enumerate_matches(ru, host, fw):
             checked += 1
             wg = weight_of_object(wtg, diag.G)
