@@ -173,6 +173,8 @@ class SearchOutcome:
     step: Optional[CertStep] = None
     removed: tuple[str, ...] = ()
     warnings: tuple[str, ...] = ()
+    # DFS nodes summed over the sizes searched; never enters certificates
+    nodes: int = 0
 
 
 class _Timeout(Exception):
@@ -696,6 +698,10 @@ class _Search:
             values = (ABSENT,) if bit >= 0 else (p.neutral,)
         else:
             values = p.domain[v]
+        cids = self.var_cids[v]
+        cstate = self.cstate
+        weak0 = self.weak_blocked[:]
+        uniform0 = self.uniform_blocked[:]
         for value in values:
             extra = p.cost[v][value]
             if cost + extra > tier:
@@ -705,14 +711,32 @@ class _Search:
                 self.undecided_mask &= ~(1 << bit)
                 if value == ABSENT:
                     self.absent_mask |= 1 << bit
-            saved = []
-            for cid in self.var_cids[v]:
-                saved.append((cid, self.cstate[cid]))
-                self._set_state(cid, self._eval(cid))
-            if self._sym_ok() and not self._prune(target):
-                self._dfs(depth + 1, cost + extra, tier, target)
-            for cid, old in reversed(saved):
-                self._set_state(cid, old)
+            if self._sym_ok():
+                # A definitely active constraint that is not weakly
+                # decreasing decides the prune on its own: it is also
+                # uniform-blocked (two empty sides always compare
+                # weakly), so its rule is neither removable nor weak and
+                # _prune would reject the value.
+                saved = []
+                blocker = None
+                for i, cid in enumerate(cids):
+                    st = self._eval(cid)
+                    if st[3] and not st[0]:
+                        blocker = i
+                        break
+                    saved.append((cid, cstate[cid]))
+                    self._set_state(cid, st)
+                if blocker is None:
+                    if not self._prune(target):
+                        self._dfs(depth + 1, cost + extra, tier, target)
+                elif blocker:
+                    # blockers repeat across sibling values: try it first
+                    cids.insert(0, cids.pop(blocker))
+                if saved:
+                    for cid, old in saved:
+                        cstate[cid] = old
+                    self.weak_blocked[:] = weak0
+                    self.uniform_blocked[:] = uniform0
             self.val[v] = None
             if bit >= 0:
                 self.undecided_mask |= 1 << bit
@@ -802,9 +826,13 @@ def search_wtg(
                 f"over the arithmetic or arctic semiring"
             )
     deadline = time.monotonic() + budget.timeout_seconds
+    nodes = 0
     for n in range(1, budget.size + 1):
         problem = _Problem(rules, fw, kind, budget.bits, n, epi=epi)
         search = _Search(problem, deadline)
+        timed_out = (
+            f"{kind.kind} search at size {n} hit its {budget.timeout_seconds} s timeout"
+        )
         try:
             best = None
             for tier in _tiers(problem.max_cost):
@@ -823,18 +851,27 @@ def search_wtg(
                                 break
                             best = more
                             target = len(more[1]) + 1
-                    except (_Budget, _Timeout):
+                    except _Budget:
                         pass
+                    except _Timeout:
+                        warnings.append(
+                            f"{timed_out} while maximizing removals; "
+                            f"the step kept depends on machine speed"
+                        )
                     break
             if best is not None:
                 entries, removed, val = best
                 step = _masked_step(problem, entries, removed, val)
                 return SearchOutcome(
-                    "found", step, step.removed, tuple(warnings)
+                    "found", step, step.removed, tuple(warnings), nodes + search.nodes
                 )
         except _Timeout:
-            return SearchOutcome("timeout", warnings=tuple(warnings))
-    return SearchOutcome("exhausted", warnings=tuple(warnings))
+            warnings.append(f"{timed_out} before exhausting its budget")
+            return SearchOutcome(
+                "timeout", warnings=tuple(warnings), nodes=nodes + search.nodes
+            )
+        nodes += search.nodes
+    return SearchOutcome("exhausted", warnings=tuple(warnings), nodes=nodes)
 
 
 # --- strategy interpretation ---------------------------------------------

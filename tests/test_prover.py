@@ -181,3 +181,86 @@ def test_collapse_test_runs_once_per_rule(monkeypatch):
     )
     assert out.status == "exhausted"  # so sizes 1, 2 and 3 were all built
     assert len(calls) == len(system.rules)
+
+
+def test_search_node_counts_pin_the_search_tree():
+    # counts of the plain full re-evaluation DFS; pruning shortcuts must
+    # visit exactly the same tree
+    tau = load("limitations_tau")
+    expected = {"arithmetic": [9, 18, 27], "tropical": [53, 909, 8263], "arctic": [9, 18, 27]}
+    for kind, per_size in expected.items():
+        for size, nodes in enumerate(per_size, start=1):
+            out = search_wtg(
+                tau.rules, tau.framework, SEMIRINGS[kind], SearchBudget(size, 3, 3600)
+            )
+            assert (out.status, out.nodes) == ("exhausted", nodes), (kind, size)
+    tree = load("tree_counter")
+    out = search_wtg(
+        tree.rules, tree.framework, SEMIRINGS["arithmetic"], SearchBudget(1, 4, 3600)
+    )
+    assert (out.status, out.nodes) == ("exhausted", 273)
+    out = search_wtg(
+        tree.rules, tree.framework, SEMIRINGS["arithmetic"], SearchBudget(2, 4, 3600)
+    )
+    assert (out.status, out.removed, out.nodes) == ("found", ("r1", "r2"), 25_491)
+
+
+def test_timeout_is_reported():
+    system = load("tree_counter")
+    res = run_strategy(system, "arithmetic(size=2,bits=4,timeout=0)")
+    assert res.certificate.verdict == "failed"
+    assert any(
+        "arithmetic" in w and "size 2" in w and "0 s timeout" in w for w in res.warnings
+    )
+
+
+def test_timeout_while_maximizing_is_reported(monkeypatch):
+    import dpoterm.prover as prover
+
+    original = prover._Search.run
+
+    def run(search, tier, target, node_limit=None):
+        if node_limit is not None:
+            raise prover._Timeout
+        return original(search, tier, target, node_limit)
+
+    monkeypatch.setattr(prover._Search, "run", run)
+    system = load("string_rules")
+    out = search_wtg(
+        system.rules, system.framework, SEMIRINGS["arithmetic"], SearchBudget(2, 2, 60)
+    )
+    assert out.status == "found"
+    assert any("maximizing" in w and "size" in w for w in out.warnings)
+
+
+def _search_state(search):
+    return (
+        list(search.cstate),
+        list(search.weak_blocked),
+        list(search.uniform_blocked),
+        list(search.val),
+        search.absent_mask,
+        search.undecided_mask,
+    )
+
+
+def test_dfs_restores_search_state():
+    tree = load("tree_counter")
+    problem = _Problem(tree.rules, tree.framework, SEMIRINGS["arithmetic"], 4, 2)
+    search = _Search(problem, None)
+    start = _search_state(search)
+    tier = 0
+    while search.run(tier, target=1) is None:
+        assert _search_state(search) == start
+        tier += 1
+    assert tier == 3
+    assert _search_state(search) == start
+    assert search.run(5, 3, node_limit=400_000) is None
+    assert _search_state(search) == start
+
+    tau = load("limitations_tau")
+    problem = _Problem(tau.rules, tau.framework, SEMIRINGS["tropical"], 3, 2)
+    search = _Search(problem, None)
+    start = _search_state(search)
+    assert search.run(problem.max_cost, target=1) is None
+    assert _search_state(search) == start
