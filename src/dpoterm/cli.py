@@ -1,7 +1,7 @@
 """Command line surface.
 
     dpoterm prove <file> [--strategy S] [--out CERT] [--json] [--verified]
-                  [--seed N] [--emit-smtlib DIR]
+                  [--seed N]
     dpoterm check <file> <cert>
     dpoterm steps <file> --graph NAME [--depth N]
 
@@ -24,8 +24,7 @@ from .certificate import (
 )
 from .dpo import enumerate_matches
 from .graph import canonical_key
-from .prover import DEFAULT_STRATEGY, emit_smtlib, parse_strategy, run_strategy
-from .semiring import SEMIRINGS
+from .prover import DEFAULT_STRATEGY, parse_strategy, run_strategy
 from .sysfile import System, SystemParseError, parse_system_file
 from .verify import verify_step_decompositions
 
@@ -56,15 +55,13 @@ def _cmd_prove(args) -> int:
             for f in failures:
                 print(f"error: verified mode: {f}", file=sys.stderr)
             return 2
-    if args.emit_smtlib:
-        outdir = Path(args.emit_smtlib)
-        outdir.mkdir(parents=True, exist_ok=True)
-        for kind in SEMIRINGS:
-            script = emit_smtlib(system.rules, system.framework, SEMIRINGS[kind], 2)
-            (outdir / f"{Path(args.file).stem}-{kind}.smt2").write_text(script)
     text = certificate_to_json(cert) if args.json else write_certificate(cert)
     if args.out:
-        Path(args.out).write_text(text)
+        try:
+            Path(args.out).write_text(text)
+        except OSError as e:
+            print(f"error: {args.out}: {e}", file=sys.stderr)
+            return 1
     else:
         sys.stdout.write(text)
     if cert.remaining:
@@ -131,7 +128,7 @@ def _cmd_steps(args) -> int:
     return 0
 
 
-def main(argv=None) -> int:
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dpoterm",
         description="Termination prover for DPO graph transformation systems",
@@ -146,8 +143,6 @@ def main(argv=None) -> int:
     p.add_argument("--verified", action="store_true",
                    help="dynamically validate decompositions on sampled steps")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--emit-smtlib", metavar="DIR",
-                   help="also export SMT-LIB 2 constraint scripts")
     p.set_defaults(fn=_cmd_prove)
 
     p = sub.add_parser("check", help="check a certificate against a system")
@@ -161,7 +156,11 @@ def main(argv=None) -> int:
     p.add_argument("--depth", type=int, default=3)
     p.set_defaults(fn=_cmd_steps)
 
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     return args.fn(args)
 
 

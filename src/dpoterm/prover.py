@@ -201,7 +201,6 @@ class _Problem:
         self.rules = rules
         self.fw = fw
         self.kind = kind
-        self.bits = bits
         sig: IndexSignature = rules[0].left.sig
         self.sig = sig
         self.T = complete_type_graph(sig, {sig.objects[s].name: n for s in sig.base_sorts})
@@ -269,10 +268,10 @@ class _Problem:
             for g in self._mask_gids(c[1]):
                 occurrence[g] += 1
             for terms in (c[2], c[3]):
-                for sup, exps in terms:
+                for sup, gids, _ in terms:
                     for g in self._mask_gids(sup):
                         occurrence[g] += 1
-                    for g, _ in exps:
+                    for g in gids:
                         occurrence[g] += 1
         branchable = [v for v in range(self.nvars) if len(self.domain[v]) > 1]
         # exactly the non-base elements have a mask bit
@@ -341,12 +340,11 @@ class _Problem:
         for g in range(self.nvars):
             if self.bitpos[g] >= 0:
                 self._bit_to_gid[self.bitpos[g]] = g
-        # constraint: (rule_idx, tk_support, L_terms, R_terms, tk_maps)
+        # constraint: (rule_idx, tk_support, L_terms, R_terms) with
+        # term = (support, exponent gids, exponents)
         self.constraints: list[tuple] = []
-        self.rule_cids: list[list[int]] = []
         self.tk_index: list[dict[tuple, int]] = []
         for ri, rule in enumerate(self.rules):
-            cids = []
             index = {}
             for t_k in enumerate_homs(rule.interface, T):
                 tk_sup = self._image_mask(t_k)
@@ -362,15 +360,11 @@ class _Problem:
                                 g = self.offset[s] + j
                                 if self.admissible.get((s, lab_row[i]), False):
                                     exps[g] = exps.get(g, 0) + 1
-                        terms.append((sup, tuple(sorted(exps.items()))))
+                        gids = tuple(sorted(exps))
+                        terms.append((sup, gids, tuple(exps[g] for g in gids)))
                     terms_by_side.append(tuple(terms))
-                cid = len(self.constraints)
-                self.constraints.append(
-                    (ri, tk_sup, terms_by_side[0], terms_by_side[1], t_k.maps)
-                )
-                cids.append(cid)
-                index[t_k.maps] = cid
-            self.rule_cids.append(cids)
+                index[t_k.maps] = len(self.constraints)
+                self.constraints.append((ri, tk_sup, terms_by_side[0], terms_by_side[1]))
             self.tk_index.append(index)
 
     def _build_candidates(self):
@@ -441,25 +435,19 @@ class _Search:
             b = problem.bitpos[g]
             if b >= 0 and self.val[g] is None:
                 self.undecided_mask |= 1 << b
-        # flat constraint table: (rule, tk support, L terms, R terms) with
-        # term = (support, exp gids, exp coeffs, undecided max part)
-        self.cons = []
-        for ri, tk_sup, lterms, rterms, _tk in problem.constraints:
-            self.cons.append(
-                (ri, tk_sup, self._compile_terms(lterms), self._compile_terms(rterms))
-            )
+        self.cons = problem.constraints
         self.var_cids: list[list[int]] = [[] for _ in range(problem.nvars)]
         # occurrences for the relevance test: (cid, None) when the var is
         # in the t_K support, else (cid, term support mask)
         self.var_occ: list[list[tuple]] = [[] for _ in range(problem.nvars)]
-        for cid, c in enumerate(problem.constraints):
+        for cid, c in enumerate(self.cons):
             touched = set(problem._mask_gids(c[1]))
             for g in touched:
                 self.var_occ[g].append((cid, None))
             for terms in (c[2], c[3]):
-                for sup, exps in terms:
+                for sup, gids, _ in terms:
                     term_gids = set(problem._mask_gids(sup))
-                    term_gids.update(g for g, _ in exps)
+                    term_gids.update(gids)
                     for g in term_gids:
                         self.var_occ[g].append((cid, sup))
                     touched.update(term_gids)
@@ -470,21 +458,13 @@ class _Search:
             for cand in cands:
                 for g in problem._mask_gids(cand.required):
                     self.var_cands[g].append(cand)
-        self.cstate = [None] * len(problem.constraints)
+        self.cstate = [None] * len(self.cons)
         nr = len(problem.rules)
         self.weak_blocked = [0] * nr
         self.uniform_blocked = [0] * nr
-        for cid in range(len(problem.constraints)):
+        for cid in range(len(self.cons)):
             self._set_state(cid, self._eval(cid))
         self.nodes = 0
-
-    def _compile_terms(self, terms):
-        out = []
-        for sup, exps in terms:
-            gids = tuple(g for g, _ in exps)
-            coeffs = tuple(e for _, e in exps)
-            out.append((sup, gids, coeffs))
-        return tuple(out)
 
     # --- constraint evaluation ---------------------------------------
 
@@ -569,7 +549,7 @@ class _Search:
 
     def _set_state(self, cid, state):
         old = self.cstate[cid]
-        ri = self.p.constraints[cid][0]
+        ri = self.cons[cid][0]
         if old is not None:
             if old[3] and not old[0]:
                 self.weak_blocked[ri] -= 1
@@ -936,117 +916,9 @@ def run_strategy(system: System, strategy) -> ProveResult:
     left_names = tuple(sorted(r.name for r in remaining))
     if not remaining:
         verdict = "terminating"
-    elif all(r.name in system.relative for r in remaining):
+    elif _s1_done(system, remaining):
         verdict = "relatively-terminating"
     else:
         verdict = "failed"
     cert = Certificate(system_hash(system), tuple(steps), verdict, left_names)
     return ProveResult(cert, tuple(warnings))
-
-
-# --- SMT-LIB export --------------------------------------------------------
-
-
-def emit_smtlib(rules, fw: Framework, kind: SemiringDescriptor, size: int, bits: int = 4) -> str:
-    """Solver-agnostic encoding of one search level: presence booleans
-    per non-base element, integer weights per admissible element, weak
-    decrease everywhere and strict decrease at some closure t_K."""
-    if not rules:
-        return "(set-logic ALL)\n(check-sat)\n"
-    problem = _Problem(tuple(rules), fw, kind, bits, size)
-    p = problem
-    out = ["(set-logic ALL)"]
-    pres: dict[int, str] = {}
-    wvar: dict[int, str] = {}
-    for g in range(p.nvars):
-        if p.bitpos[g] >= 0:
-            pres[g] = f"p{g}"
-            out.append(f"(declare-const p{g} Bool)")
-        if len([v for v in p.domain[g] if v != ABSENT]) > 1:
-            wvar[g] = f"w{g}"
-            out.append(f"(declare-const w{g} Int)")
-            lo = 1 if kind.kind == "arithmetic" else 0
-            hi = 2**bits if kind.kind == "arithmetic" else 2**bits - 1
-            out.append(f"(assert (and (>= w{g} {lo}) (<= w{g} {hi})))")
-
-    def weight(g: int) -> str:
-        return wvar.get(g, str(p.neutral))
-
-    def term_active(sup: int) -> str:
-        bits_on = [f"p{g}" for g in p._mask_gids(sup)]
-        return "(and true " + " ".join(bits_on) + ")" if bits_on else "true"
-
-    def term_value(exps) -> str:
-        if kind.kind == "arithmetic":
-            parts = []
-            for g, e in exps:
-                parts.extend([weight(g)] * e)
-            return "(* 1 " + " ".join(parts) + ")" if parts else "1"
-        parts = [f"(* {e} {weight(g)})" for g, e in exps]
-        return "(+ 0 " + " ".join(parts) + ")" if parts else "0"
-
-    def side_cmp(lterms, rterms, strict: bool) -> str:
-        op = ">" if strict else ">="
-        if kind.kind == "arithmetic":
-            def total(terms):
-                parts = [
-                    f"(ite {term_active(sup)} {term_value(exps)} 0)"
-                    for sup, exps in terms
-                ]
-                return "(+ 0 " + " ".join(parts) + ")" if parts else "0"
-
-            return f"({op} {total(lterms)} {total(rterms)})"
-        # tropical: min-plus; arctic: max-plus, encoded by witnesses
-        def empty(terms):
-            if not terms:
-                return "true"
-            return "(and " + " ".join(f"(not {term_active(s)})" for s, _ in terms) + ")"
-
-        if kind.kind == "tropical":
-            # min_L > min_R  iff  exists active r below every active l
-            # weak: min_L >= min_R iff L empty or such an r with <=
-            cmps = []
-            for rs, rexp in rterms:
-                inner = [
-                    f"(=> {term_active(ls)} ({'<' if strict else '<='} {term_value(rexp)} {term_value(lexp)}))"
-                    for ls, lexp in lterms
-                ]
-                body = "(and true " + " ".join(inner) + ")"
-                cmps.append(f"(and {term_active(rs)} {body})")
-            witness = "(or false " + " ".join(cmps) + ")" if cmps else "false"
-            if strict:
-                return f"(or (and {empty(lterms)} (not {empty(rterms)})) {witness})"
-            return f"(or {empty(lterms)} {witness})"
-        # arctic: max_L >= max_R iff R empty or exists active l above all r
-        cmps = []
-        for ls, lexp in lterms:
-            inner = [
-                f"(=> {term_active(rs)} ({'>' if strict else '>='} {term_value(lexp)} {term_value(rexp)}))"
-                for rs, rexp in rterms
-            ]
-            body = "(and true " + " ".join(inner) + ")"
-            cmps.append(f"(and {term_active(ls)} {body})")
-        witness = "(or false " + " ".join(cmps) + ")" if cmps else "false"
-        if strict:
-            return f"(and (not {empty(lterms)}) (or {empty(rterms)} {witness}))"
-        return f"(or {empty(rterms)} {witness})"
-
-    for ri, tk_sup, lterms, rterms, _tk in p.constraints:
-        guard = term_active(tk_sup)
-        out.append(f"(assert (=> {guard} {side_cmp(lterms, rterms, False)}))")
-    strict_opts = []
-    for ri in range(len(p.rules)):
-        for cand in p.cands[ri]:
-            req = term_active(cand.required)
-            _, tk_sup, lterms, rterms, _tk = p.constraints[cand.tkc_cid]
-            strict_opts.append(
-                f"(and {req} {side_cmp(lterms, rterms, True)})"
-            )
-    out.append(
-        "(assert (or false " + " ".join(strict_opts) + "))"
-        if strict_opts
-        else "(assert false)"
-    )
-    out.append("(check-sat)")
-    out.append("(get-model)")
-    return "\n".join(out) + "\n"

@@ -1,12 +1,14 @@
 from __future__ import annotations
 
+import argparse
 import json
+import re
 from pathlib import Path
 
 import pytest
 
 from dpoterm.certificate import certificate_to_json
-from dpoterm.cli import main
+from dpoterm.cli import _parser, main
 
 SYSTEMS = Path(__file__).resolve().parent.parent / "systems"
 
@@ -98,29 +100,28 @@ def test_steps_simulator(capsys):
     assert "normal forms reached" in out
 
 
-def test_smtlib_export(tmp_path, capsys):
-    outdir = tmp_path / "smt"
-    assert (
-        main(
-            [
-                "prove",
-                str(SYSTEMS / "loop_unfolding.gts"),
-                "--emit-smtlib",
-                str(outdir),
-                "--out",
-                str(tmp_path / "c.cert"),
-            ]
-        )
-        == 0
-    )
-    files = sorted(p.name for p in outdir.glob("*.smt2"))
-    assert files == [
-        "loop_unfolding-arctic.smt2",
-        "loop_unfolding-arithmetic.smt2",
-        "loop_unfolding-tropical.smt2",
+def test_prove_unwritable_out_is_input_error(tmp_path, capsys):
+    out = tmp_path / "missing" / "c.cert"
+    assert main(["prove", str(SYSTEMS / "loop_unfolding.gts"), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {out}:") and "Traceback" not in err
+
+
+def test_readme_names_every_option_of_the_parser():
+    readme = (SYSTEMS.parent / "README.md").read_text()
+    section = readme.split("## Command line", 1)[1].split("\n## ", 1)[0]
+    named = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", section))
+    parser = _parser()
+    (subparsers,) = [
+        a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
     ]
-    body = (outdir / "loop_unfolding-arithmetic.smt2").read_text()
-    assert body.count("(") == body.count(")")
+    options = {
+        opt
+        for sub in subparsers.choices.values()
+        for action in sub._actions
+        for opt in action.option_strings
+    } - {"-h", "--help"}
+    assert named == options
 
 
 def _drop_steps(data):

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import itertools
+import random
 from pathlib import Path
 
 import pytest
 
-from dpoterm.certificate import check_certificate, write_certificate
+from dpoterm.certificate import Certificate, check_certificate, write_certificate
 from dpoterm.prover import (
     ABSENT,
     Basic,
@@ -14,15 +16,15 @@ from dpoterm.prover import (
     SearchBudget,
     Seq,
     StrategyError,
+    _masked_step,
     _Problem,
     _Search,
-    emit_smtlib,
     parse_strategy,
     run_strategy,
     search_wtg,
 )
 from dpoterm.semiring import SEMIRINGS
-from dpoterm.sysfile import parse_system_file
+from dpoterm.sysfile import parse_system_file, system_hash
 
 SYSTEMS = Path(__file__).resolve().parent.parent / "systems"
 
@@ -124,18 +126,10 @@ def test_search_determinism():
     assert write_certificate(a.certificate) == write_certificate(b.certificate)
 
 
-def test_smtlib_empty_rules():
-    script = emit_smtlib((), None, SEMIRINGS["arithmetic"], 1)
-    assert "(check-sat)" in script
-
-
-def test_smtlib_loop_unfolding_model():
-    system = load("loop_unfolding")
-    script = emit_smtlib(system.rules, system.framework, SEMIRINGS["arithmetic"], 2)
-    assert script.count("(") == script.count(")")
-    assert "(assert" in script and "(check-sat)" in script
+def test_published_loop_unfolding_assignment_removes_unfold():
     # the published assignment (both loops weight 2, everything present)
-    # satisfies the constraint system per the internal evaluator
+    # is a leaf that removes unfold
+    system = load("loop_unfolding")
     problem = _Problem(system.rules, system.framework, SEMIRINGS["arithmetic"], 2, 2)
     search = _Search(problem, None)
     T = problem.T
@@ -152,16 +146,6 @@ def test_smtlib_loop_unfolding_model():
             search._set_state(cid, search._eval(cid))
     got = search._leaf(target=1)
     assert got is not None and [e[0] for e in got[0]] == ["unfold"]
-
-
-def test_smtlib_tau_size1_unsat_agrees():
-    system = load("limitations_tau")
-    script = emit_smtlib(system.rules, system.framework, SEMIRINGS["tropical"], 1)
-    assert "(check-sat)" in script
-    out = search_wtg(
-        system.rules, system.framework, SEMIRINGS["tropical"], SearchBudget(1, 4, 60)
-    )
-    assert out.status == "exhausted"
 
 
 def test_collapse_test_runs_once_per_rule(monkeypatch):
@@ -264,3 +248,68 @@ def test_dfs_restores_search_state():
     start = _search_state(search)
     assert search.run(problem.max_cost, target=1) is None
     assert _search_state(search) == start
+
+
+def _assign(search, values):
+    """Set every variable in values (None = undecided) and re-evaluate
+    every constraint from scratch."""
+    p = search.p
+    search.absent_mask = search.undecided_mask = 0
+    for v, value in values.items():
+        search.val[v] = value
+        bit = p.bitpos[v]
+        if bit >= 0 and value is None:
+            search.undecided_mask |= 1 << bit
+        elif bit >= 0 and value == ABSENT:
+            search.absent_mask |= 1 << bit
+    return [search._eval(cid) for cid in range(len(search.cons))]
+
+
+def _one_step_certificate(system, step):
+    left = tuple(sorted(r.name for r in system.rules if r.name not in step.removed))
+    if set(left) & set(system.s1_names()):
+        verdict = "failed"
+    else:
+        verdict = "relatively-terminating" if left else "terminating"
+    return Certificate(system_hash(system), (step,), verdict, left)
+
+
+def test_leaves_pass_the_checker_and_bounds_bracket_full_assignments():
+    """An oracle for the search's bound arithmetic, independent of the
+    DFS. A random full assignment that _leaf accepts gives a one-step
+    certificate the checker accepts. A constraint that _eval finds
+    definitely active and not weakly decreasing under a partial
+    assignment stays so under its completion; more generally the partial
+    state over-approximates the completed one."""
+    rng = random.Random(2024)
+    leaves = blocked = 0
+    systems = [parse_system_file(path.read_text()) for path in sorted(SYSTEMS.glob("*.gts"))]
+    for system, kind, size, bits in itertools.product(
+        systems, ("arithmetic", "tropical", "arctic"), (1, 2), (1, 2)
+    ):
+        problem = _Problem(system.rules, system.framework, SEMIRINGS[kind], bits, size)
+        search = _Search(problem, None)
+        for _ in range(100):
+            full = {v: rng.choice(problem.domain[v]) for v in problem.var_order}
+            complete = _assign(search, full)
+            for cid, st in enumerate(complete):
+                search._set_state(cid, st)
+            got = search._leaf(1)
+            if got is not None:
+                leaves += 1
+                step = _masked_step(problem, *got, search.val)
+                result = check_certificate(system, _one_step_certificate(system, step))
+                assert result.accepted, (kind, size, bits, result.reason)
+            for _ in range(3):
+                keep = rng.random()
+                partial = {v: x if rng.random() < keep else None for v, x in full.items()}
+                for st, c in zip(_assign(search, partial), complete):
+                    if st[3] and not st[0]:
+                        blocked += 1
+                        assert c[3] and not c[0]
+                    # weak, strict and both-empty stay possible where they
+                    # hold, unless the completion made the constraint vacuous
+                    assert c[4] or all(st[i] or not c[i] for i in range(3))
+                    assert c[3] or not st[3]
+                    assert c[4] or not st[4]
+    assert leaves > 0 and blocked > 0
