@@ -29,7 +29,7 @@ from .sysfile import (
 )
 from .wtg import WeightedTypeGraph, element_at, side_comparisons, verify_context_closure
 
-VERSION = 1
+VERSION = 2
 VERDICTS = ("terminating", "relatively-terminating", "failed")
 
 

@@ -36,6 +36,9 @@ DEFAULT_STRATEGY = (
 )
 
 ABSENT = -1
+# _Problem lists all 2**bits weights per element before any deadline is
+# checked, so a larger bits exhausts memory instead of timing out
+MAX_BITS = 12
 
 
 class StrategyError(ValueError):
@@ -51,6 +54,8 @@ class SearchBudget:
     def __post_init__(self):
         if self.size < 1 or self.bits < 1:
             raise StrategyError("size and bits must be >= 1")
+        if self.bits > MAX_BITS:
+            raise StrategyError(f"bits must be <= {MAX_BITS}")
 
 
 @dataclass(frozen=True)

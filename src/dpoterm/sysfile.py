@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .dpo import Framework, MATCH_CLASSES, Rule
-from .graph import CGraph, canonical_key
+from .graph import CGraph
 from .morphism import Morphism, MorphismError
 from .signature import IndexSignature, parse_signature
 
@@ -299,14 +299,18 @@ def print_system(system: System) -> str:
 
 
 def system_hash(system: System) -> str:
-    h = hashlib.sha256()
-    h.update(print_signature(system.sig).encode())
-    h.update(system.framework.match_class.encode())
-    h.update(" ".join(sorted(system.relative)).encode())
+    """sha256 of the printed signature, framework, relative set and rules
+    (sorted by name): what the checker reads. Comments, the strategy line
+    and graphs that no rule uses do not enter it."""
+    out = [
+        print_signature(system.sig),
+        f"framework {system.framework.match_class}",
+        "relative { " + " ".join(sorted(system.relative)) + " }",
+    ]
     for r in sorted(system.rules, key=lambda r: r.name):
-        h.update(r.name.encode())
-        for g in (r.left, r.interface, r.right):
-            h.update(canonical_key(g))
-        h.update(repr(r.l.maps).encode())
-        h.update(repr(r.r.maps).encode())
-    return h.hexdigest()
+        out.append(f"rule {r.name}")
+        for tag, g in (("L", r.left), ("K", r.interface), ("R", r.right)):
+            out += [f"  {tag} =", print_graph_block(g, "    "), "  end"]
+        out.append(f"  l = {_print_map(r.interface, r.left, r.l)}")
+        out.append(f"  r = {_print_map(r.interface, r.right, r.r)}")
+    return hashlib.sha256("\n".join(out).encode()).hexdigest()

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -14,6 +15,7 @@ from dpoterm.certificate import (
     read_certificate,
     write_certificate,
 )
+import dpoterm.graph
 from dpoterm.prover import DEFAULT_STRATEGY, run_strategy
 from dpoterm.sysfile import parse_system_file, print_graph_block, system_hash
 
@@ -177,3 +179,26 @@ def test_repeated_removal_rejected(proved):
     assert bad.steps[0].removed == (step.removed[0],) * 2
     got = check_certificate(system, bad)
     assert not got.accepted and "twice" in got.reason
+
+
+def test_prove_and_check_never_call_canonical_key(searched, monkeypatch):
+    """canonical_key tries every permutation of the base elements; the
+    prove and check paths must not reach it."""
+    original = dpoterm.graph.canonical_key
+
+    def factorial(g):
+        raise AssertionError("canonical_key called on the prove or check path")
+
+    replaced = 0
+    for name, mod in list(sys.modules.items()):
+        if name == "dpoterm" or name.startswith("dpoterm."):
+            for key, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, key, factorial)
+                    replaced += 1
+    assert replaced
+    for system, cert, _ in searched.values():
+        assert cert.system_hash == system_hash(system)
+        assert check_certificate(system, cert).accepted
+    system = load("loop_unfolding")
+    assert run_strategy(system, DEFAULT_STRATEGY).certificate.verdict == "terminating"

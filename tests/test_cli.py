@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from dpoterm.certificate import certificate_to_json
+from dpoterm.certificate import certificate_to_json, write_certificate
 from dpoterm.cli import _parser, main
 
 SYSTEMS = Path(__file__).resolve().parent.parent / "systems"
@@ -164,3 +164,28 @@ def test_check_unreadable_certificate_is_input_error(tmp_path, capsys, payload):
     path.write_bytes(payload)
     assert main(["check", str(SYSTEMS / "limitations.gts"), str(path)]) == 1
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("form", ["text", "json"])
+def test_check_version_1_certificate_is_input_error(searched, tmp_path, capsys, form):
+    _, cert, _ = searched["loop_unfolding"]
+    if form == "json":
+        data = json.loads(certificate_to_json(cert))
+        data["version"] = 1
+        text = json.dumps(data)
+    else:
+        head, rest = write_certificate(cert).split("\n", 1)
+        assert head == "dpoterm-certificate 2"
+        text = "dpoterm-certificate 1\n" + rest
+    path = tmp_path / "old.cert"
+    path.write_text(text)
+    assert main(["check", str(SYSTEMS / "loop_unfolding.gts"), str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert err.startswith("error:") and "unsupported certificate version" in err
+    assert "reject" not in out + err and "Traceback" not in err
+
+
+def test_prove_too_many_bits_is_strategy_error(capsys):
+    strategy = "arithmetic(size=1,bits=64,timeout=1)"
+    assert main(["prove", str(SYSTEMS / "loop_unfolding.gts"), "--strategy", strategy]) == 1
+    assert capsys.readouterr().err.startswith("error: strategy:")

@@ -65,6 +65,14 @@ def test_parse_errors():
         parse_strategy("unknown(size=1,bits=1,timeout=1)")
 
 
+def test_bits_are_bounded_before_the_build():
+    assert SearchBudget(1, 12, 1).bits == 12
+    with pytest.raises(StrategyError, match="bits"):
+        SearchBudget(1, 13, 1)
+    with pytest.raises(StrategyError, match="bits"):
+        parse_strategy("arithmetic(size=1,bits=64,timeout=1)")
+
+
 def test_search_loop_unfolding_finds():
     system = load("loop_unfolding")
     out = search_wtg(

@@ -180,3 +180,83 @@ def test_diagnostics_carry_line_numbers():
     text = MINIMAL.replace("V y", "W y")
     with pytest.raises(SystemParseError, match="line"):
         parse_system_file(text)
+
+
+HASHED_HEAD = """
+signature
+  V
+  edge[a,b](V,V)
+end
+
+graph G
+  V x
+  V y
+  edge e [a] (x, y)
+end
+
+graph P
+  V x
+  V y
+end
+"""
+HASHED_KEEP = """
+rule keep
+  L = G
+  K = G
+  R = G
+  l = { x -> x, y -> y, e -> e }
+  r = { x -> x, y -> y, e -> e }
+end
+"""
+HASHED_SWAP = """
+rule swap
+  L = P
+  K = P
+  R = P
+  l = { x -> x, y -> y }
+  r = { x -> y, y -> x }
+end
+"""
+HASHED_TAIL = """
+framework monic
+relative { swap }
+"""
+HASHED = HASHED_HEAD + HASHED_KEEP + HASHED_SWAP + HASHED_TAIL
+
+
+def _hash(text: str) -> str:
+    return system_hash(parse_system_file(text))
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "# a comment\n" + HASHED.replace("V y\n", "V y   # the target\n"),
+        HASHED.replace("\n", "\n\n"),
+        HASHED + 'strategy "arithmetic(size=1,bits=1,timeout=1)"\n',
+        HASHED_HEAD + "graph Unused\n  V u\nend\n" + HASHED_KEEP + HASHED_SWAP + HASHED_TAIL,
+        HASHED_HEAD + HASHED_SWAP + HASHED_KEEP + HASHED_TAIL,
+    ],
+    ids=["comments", "blank-lines", "strategy", "unused-graph", "rule-order"],
+)
+def test_hash_ignores_what_the_checker_does_not_read(text):
+    assert _hash(text) == _hash(HASHED)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        HASHED.replace("edge e [a]", "edge e [b]"),
+        HASHED.replace("r = { x -> y, y -> x }", "r = { x -> y, y -> y }"),
+        HASHED.replace("relative { swap }", "relative { keep }"),
+        HASHED.replace("framework monic", "framework unrestricted"),
+        HASHED.replace("swap", "flip"),
+        HASHED_HEAD.replace("V y\n  edge e [a] (x, y)", "V z\n  edge e [a] (x, z)")
+        + HASHED_KEEP.replace("y -> y", "z -> z")
+        + HASHED_SWAP
+        + HASHED_TAIL,
+    ],
+    ids=["label", "map-pair", "relative", "framework", "rule-name", "element-name"],
+)
+def test_hash_covers_what_the_checker_reads(text):
+    assert _hash(text) != _hash(HASHED)
