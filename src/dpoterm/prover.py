@@ -129,6 +129,8 @@ def parse_strategy(text: str):
                 if i >= len(toks):
                     err("unterminated parameter list")
                 key = toks[i][0]
+                if key in params:
+                    err(f"repeated parameter {key!r}")
                 i += 1
                 expect("=")
                 if i >= len(toks) or not toks[i][0].isdigit():
@@ -273,11 +275,12 @@ class _Problem:
             for g in self._mask_gids(c[1]):
                 occurrence[g] += 1
             for terms in (c[2], c[3]):
-                for sup, gids, _ in terms:
+                # a merged term counts once per hom that gave it
+                for sup, factors, k in terms:
                     for g in self._mask_gids(sup):
-                        occurrence[g] += 1
-                    for g in gids:
-                        occurrence[g] += 1
+                        occurrence[g] += k
+                    for g in set(factors):
+                        occurrence[g] += k
         branchable = [v for v in range(self.nvars) if len(self.domain[v]) > 1]
         # exactly the non-base elements have a mask bit
         self.var_order = sorted(
@@ -346,7 +349,9 @@ class _Problem:
             if self.bitpos[g] >= 0:
                 self._bit_to_gid[self.bitpos[g]] = g
         # constraint: (rule_idx, tk_support, L_terms, R_terms) with
-        # term = (support, exponent gids, exponents)
+        # term = (support, factors, k): factors lists each weighed gid once
+        # per element mapped onto it, and k counts the homs that gave this
+        # identical term, merged in first-occurrence order
         self.constraints: list[tuple] = []
         self.tk_index: list[dict[tuple, int]] = []
         for ri, rule in enumerate(self.rules):
@@ -355,19 +360,17 @@ class _Problem:
                 tk_sup = self._image_mask(t_k)
                 terms_by_side = []
                 for side in (rule.l, rule.r):
-                    terms = []
+                    homs: dict[tuple, int] = {}
                     for t_y in extensions(side, t_k):
-                        sup = self._image_mask(t_y)
-                        exps: dict[int, int] = {}
+                        factors = []
                         for s in range(len(sig.objects)):
                             lab_row = side.cod.labels[s]
                             for i, j in enumerate(t_y.maps[s]):
-                                g = self.offset[s] + j
                                 if self.admissible.get((s, lab_row[i]), False):
-                                    exps[g] = exps.get(g, 0) + 1
-                        gids = tuple(sorted(exps))
-                        terms.append((sup, gids, tuple(exps[g] for g in gids)))
-                    terms_by_side.append(tuple(terms))
+                                    factors.append(self.offset[s] + j)
+                        term = (self._image_mask(t_y), tuple(sorted(factors)))
+                        homs[term] = homs.get(term, 0) + 1
+                    terms_by_side.append(tuple((*t, k) for t, k in homs.items()))
                 index[t_k.maps] = len(self.constraints)
                 self.constraints.append((ri, tk_sup, terms_by_side[0], terms_by_side[1]))
             self.tk_index.append(index)
@@ -429,7 +432,12 @@ class _Search:
     def __init__(self, problem: _Problem, deadline: Optional[float]):
         self.p = problem
         self.deadline = deadline
-        self.kindcode = {"arithmetic": 0, "tropical": 1, "arctic": 2}[problem.kind.kind]
+        # the bound evaluator of this semiring, called per tried value
+        self._eval = {
+            "arithmetic": self._eval_arithmetic,
+            "tropical": self._eval_tropical,
+            "arctic": self._eval_arctic,
+        }[problem.kind.kind]
         self.val: list[Optional[int]] = [None] * problem.nvars
         for v in range(problem.nvars):
             if len(problem.domain[v]) == 1:
@@ -450,9 +458,9 @@ class _Search:
             for g in touched:
                 self.var_occ[g].append((cid, None))
             for terms in (c[2], c[3]):
-                for sup, gids, _ in terms:
+                for sup, factors, _ in terms:
                     term_gids = set(problem._mask_gids(sup))
-                    term_gids.update(gids)
+                    term_gids.update(factors)
                     for g in term_gids:
                         self.var_occ[g].append((cid, sup))
                     touched.update(term_gids)
@@ -473,84 +481,136 @@ class _Search:
 
     # --- constraint evaluation ---------------------------------------
 
-    def _side(self, terms, absent, undecided, val, kc, wmax):
-        """(minpos, maxpos, emptyable) over the side's live terms."""
-        INF = sr.POS_INF
-        if kc == 0:
-            minpos = 0
-            maxpos = 0
-        elif kc == 1:
-            minpos = INF
-            maxpos = INF
-        else:
-            minpos = -INF
-            maxpos = -INF
-        emptyable = True
-        for sup, gids, coeffs in terms:
-            if sup & absent:
-                continue
-            tdef = not (sup & undecided)
-            if tdef:
-                emptyable = False
-            if kc == 0:
-                lo = 1
-                hi = 1
-                for i, g in enumerate(gids):
-                    v = val[g]
-                    if v is None:
-                        hi *= wmax[g] ** coeffs[i]
-                    else:
-                        w = v ** coeffs[i]
-                        lo *= w
-                        hi *= w
-                maxpos += hi
-                if tdef:
-                    minpos += lo
-            else:
-                lo = 0
-                hi = 0
-                for i, g in enumerate(gids):
-                    v = val[g]
-                    if v is None:
-                        hi += wmax[g] * coeffs[i]
-                    else:
-                        w = v * coeffs[i]
-                        lo += w
-                        hi += w
-                if kc == 1:
-                    if lo < minpos:
-                        minpos = lo
-                    if tdef and hi < maxpos:
-                        maxpos = hi
-                else:
-                    if tdef and lo > minpos:
-                        minpos = lo
-                    if hi > maxpos:
-                        maxpos = hi
-        return minpos, maxpos, emptyable
+    # Each evaluator returns the constraint state for the current partial
+    # assignment. A term is live unless its support holds an absent
+    # element, and definite when its support holds no undecided one. The
+    # L side is bounded above with undecided weights at their maximum and
+    # the R side below with them at the semiring's least weight, so weak
+    # and strict decrease are over-approximated; a side is emptyable when
+    # it has no definite live term.
 
-    def _eval(self, cid):
-        val = self.val
+    def _eval_arithmetic(self, cid):
+        """Sums of k times the product of the factors' weights; an
+        emptyable R side bounds at 0."""
+        _, tk_sup, lterms, rterms = self.cons[cid]
         absent = self.absent_mask
-        undecided = self.undecided_mask
-        ri, tk_sup, lterms, rterms = self.cons[cid]
         if tk_sup & absent:
             return _VACUOUS
+        undecided = self.undecided_mask
+        gone = absent | undecided
+        val = self.val
         def_active = not (tk_sup & undecided)
-        kc = self.kindcode
+        r_bot = 0
+        rempty = True
+        for sup, factors, k in rterms:
+            if sup & gone:
+                continue
+            rempty = False
+            for g in factors:
+                v = val[g]
+                if v is not None:
+                    k *= v
+            r_bot += k
         wmax = self.p.wmax
-        INF = sr.POS_INF
-        lmin, lmax, lempty = self._side(lterms, absent, undecided, val, kc, wmax)
-        rmin, rmax, rempty = self._side(rterms, absent, undecided, val, kc, wmax)
-        if kc == 0:
-            l_top, r_bot = lmax, rmin
-        elif kc == 1:
-            l_top = INF if lempty else lmax
-            r_bot = rmin
-        else:
-            l_top = lmax
-            r_bot = -INF if rempty else rmin
+        nonempty = not rempty
+        l_top = 0
+        lempty = True
+        for sup, factors, k in lterms:
+            if sup & absent:
+                continue
+            if not sup & undecided:
+                lempty = False
+                nonempty = True
+            for g in factors:
+                v = val[g]
+                k *= wmax[g] if v is None else v
+            l_top += k
+            # the L sum only grows and a non-empty side stays non-empty
+            if nonempty and l_top > r_bot:
+                return (True, True, False, def_active, False)
         return (l_top >= r_bot, l_top > r_bot, lempty and rempty, def_active, False)
+
+    def _eval_tropical(self, cid):
+        """Minima of the factors' weight sums; min is idempotent, so k
+        does not matter, and an empty side is +inf."""
+        _, tk_sup, lterms, rterms = self.cons[cid]
+        absent = self.absent_mask
+        if tk_sup & absent:
+            return _VACUOUS
+        undecided = self.undecided_mask
+        gone = absent | undecided
+        val = self.val
+        wmax = self.p.wmax
+        l_top = sr.POS_INF
+        lempty = True
+        for sup, factors, _ in lterms:
+            if sup & gone:
+                continue
+            lempty = False
+            hi = 0
+            for g in factors:
+                v = val[g]
+                hi += wmax[g] if v is None else v
+            if hi < l_top:
+                l_top = hi
+        r_bot = sr.POS_INF
+        rempty = True
+        for sup, factors, _ in rterms:
+            if sup & absent:
+                continue
+            if not sup & undecided:
+                rempty = False
+            lo = 0
+            for g in factors:
+                v = val[g]
+                if v is not None:
+                    lo += v
+            if lo < r_bot:
+                r_bot = lo
+        return (
+            l_top >= r_bot, l_top > r_bot, lempty and rempty, not (tk_sup & undecided), False
+        )
+
+    def _eval_arctic(self, cid):
+        """Maxima of the factors' weight sums; max is idempotent, so k
+        does not matter, and an empty side is -inf."""
+        _, tk_sup, lterms, rterms = self.cons[cid]
+        absent = self.absent_mask
+        if tk_sup & absent:
+            return _VACUOUS
+        undecided = self.undecided_mask
+        gone = absent | undecided
+        val = self.val
+        wmax = self.p.wmax
+        l_top = sr.NEG_INF
+        lempty = True
+        for sup, factors, _ in lterms:
+            if sup & absent:
+                continue
+            if not sup & undecided:
+                lempty = False
+            hi = 0
+            for g in factors:
+                v = val[g]
+                hi += wmax[g] if v is None else v
+            if hi > l_top:
+                l_top = hi
+        r_bot = sr.NEG_INF
+        rempty = True
+        for sup, factors, _ in rterms:
+            if sup & gone:
+                continue
+            rempty = False
+            lo = 0
+            for g in factors:
+                v = val[g]
+                if v is not None:
+                    lo += v
+            if lo > r_bot:
+                r_bot = lo
+        return (
+            l_top >= r_bot, l_top > r_bot, lempty and rempty, not (tk_sup & undecided), False
+        )
 
     def _set_state(self, cid, state):
         old = self.cstate[cid]
@@ -668,9 +728,9 @@ class _Search:
         self.nodes += 1
         if self.node_stop is not None and self.nodes > self.node_stop:
             raise _Budget
-        if self.nodes % 2048 == 0 and self.deadline is not None:
-            if time.monotonic() > self.deadline:
-                raise _Timeout
+        # nodes can be few and expensive, so the clock is read at each one
+        if self.deadline is not None and time.monotonic() > self.deadline:
+            raise _Timeout
         p = self.p
         if depth == len(p.var_order):
             got = self._leaf(target)
@@ -709,8 +769,10 @@ class _Search:
                     if st[3] and not st[0]:
                         blocker = i
                         break
-                    saved.append((cid, cstate[cid]))
-                    self._set_state(cid, st)
+                    old = cstate[cid]
+                    if st != old:
+                        saved.append((cid, old))
+                        self._set_state(cid, st)
                 if blocker is None:
                     if not self._prune(target):
                         self._dfs(depth + 1, cost + extra, tier, target)

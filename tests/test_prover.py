@@ -23,7 +23,7 @@ from dpoterm.prover import (
     run_strategy,
     search_wtg,
 )
-from dpoterm.semiring import SEMIRINGS
+from dpoterm.semiring import NEG_INF, POS_INF, SEMIRINGS
 from dpoterm.sysfile import parse_system_file, system_hash
 
 SYSTEMS = Path(__file__).resolve().parent.parent / "systems"
@@ -71,6 +71,11 @@ def test_bits_are_bounded_before_the_build():
         SearchBudget(1, 13, 1)
     with pytest.raises(StrategyError, match="bits"):
         parse_strategy("arithmetic(size=1,bits=64,timeout=1)")
+
+
+def test_repeated_parameter_is_rejected():
+    with pytest.raises(StrategyError, match=r"repeated parameter 'size' at position 35"):
+        parse_strategy("arithmetic(size=1,bits=1,timeout=1,size=2)")
 
 
 def test_search_loop_unfolding_finds():
@@ -197,13 +202,132 @@ def test_search_node_counts_pin_the_search_tree():
     assert (out.status, out.removed, out.nodes) == ("found", ("r1", "r2"), 25_491)
 
 
+# the string rules a^3 b -> a^3 c and c d^3 -> d^3 b; at size 2 their
+# constraints hold identical terms, which the build merges
+STRING3 = """\
+signature
+  V
+  edge[a,b,c,d](V,V)
+end
+
+graph Lrho
+  V x0
+  V x1
+  V x2
+  V x3
+  V x4
+  edge e0 [a] (x0, x1)
+  edge e1 [a] (x1, x2)
+  edge e2 [a] (x2, x3)
+  edge e3 [b] (x3, x4)
+end
+
+graph K
+  V x0
+  V x4
+end
+
+graph Rrho
+  V x0
+  V x1
+  V x2
+  V x3
+  V x4
+  edge e0 [a] (x0, x1)
+  edge e1 [a] (x1, x2)
+  edge e2 [a] (x2, x3)
+  edge e3 [c] (x3, x4)
+end
+
+graph Ltau
+  V x0
+  V x1
+  V x2
+  V x3
+  V x4
+  edge e0 [c] (x0, x1)
+  edge e1 [d] (x1, x2)
+  edge e2 [d] (x2, x3)
+  edge e3 [d] (x3, x4)
+end
+
+graph Rtau
+  V x0
+  V x1
+  V x2
+  V x3
+  V x4
+  edge e0 [d] (x0, x1)
+  edge e1 [d] (x1, x2)
+  edge e2 [d] (x2, x3)
+  edge e3 [b] (x3, x4)
+end
+
+rule rho
+  L = Lrho
+  K = K
+  R = Rrho
+  l = { x0 -> x0, x4 -> x4 }
+  r = { x0 -> x0, x4 -> x4 }
+end
+
+rule tau
+  L = Ltau
+  K = K
+  R = Rtau
+  l = { x0 -> x0, x4 -> x4 }
+  r = { x0 -> x0, x4 -> x4 }
+end
+
+framework unrestricted
+"""
+
+
+def test_node_counts_pin_the_search_tree_where_terms_merge():
+    # simple_fold at size 2 and string3 hold duplicate terms; counts
+    # measured before terms were merged
+    fold = load("simple_fold")
+    string3 = parse_system_file(STRING3)
+    cases = [
+        (fold, "arithmetic", 1, 4, "exhausted", (), 62),
+        (fold, "arithmetic", 2, 4, "exhausted", (), 546),
+        (fold, "tropical", 1, 4, "exhausted", (), 62),
+        (fold, "tropical", 2, 4, "found", ("fold",), 75),
+        (fold, "arctic", 1, 4, "exhausted", (), 62),
+        (fold, "arctic", 2, 4, "exhausted", (), 546),
+        (string3, "arithmetic", 2, 2, "found", ("rho", "tau"), 5_880),
+        (string3, "tropical", 2, 2, "found", ("rho", "tau"), 14_768),
+        (string3, "arctic", 2, 2, "found", ("rho", "tau"), 10_728),
+    ]
+    for system, kind, size, bits, status, removed, nodes in cases:
+        out = search_wtg(
+            system.rules, system.framework, SEMIRINGS[kind], SearchBudget(size, bits, 3600)
+        )
+        assert (out.status, out.removed, out.nodes) == (status, removed, nodes), (kind, size)
+    for system, before, after in ((fold, 12, 10), (string3, 128, 112)):
+        problem = _Problem(system.rules, system.framework, SEMIRINGS["arithmetic"], 1, 2)
+        assert sum(len(c[2]) + len(c[3]) for c in problem.constraints) == after
+        assert sum(t[2] for c in problem.constraints for t in c[2] + c[3]) == before
+
+
 def test_timeout_is_reported():
     system = load("tree_counter")
     res = run_strategy(system, "arithmetic(size=2,bits=4,timeout=0)")
     assert res.certificate.verdict == "failed"
     assert any(
-        "arithmetic" in w and "size 2" in w and "0 s timeout" in w for w in res.warnings
+        "arithmetic" in w and "size 1" in w and "0 s timeout" in w for w in res.warnings
     )
+
+
+def test_timeout_is_honoured_when_nodes_are_few():
+    # no size here has more than a few hundred nodes, so the clock must be
+    # read at every node, not every few thousand
+    system = load("simple_fold")
+    out = search_wtg(
+        system.rules, system.framework, SEMIRINGS["arithmetic"], SearchBudget(8, 1, 0)
+    )
+    assert out.status == "timeout"
+    assert any("size 1" in w and "0 s timeout" in w for w in out.warnings)
 
 
 def test_timeout_while_maximizing_is_reported(monkeypatch):
@@ -321,3 +445,105 @@ def test_leaves_pass_the_checker_and_bounds_bracket_full_assignments():
                     assert c[3] or not st[3]
                     assert c[4] or not st[4]
     assert leaves > 0 and blocked > 0
+
+
+def _reference_side(terms, absent, undecided, val, kind, wmax):
+    """(minpos, maxpos, emptyable) over the side's live terms, one term
+    per hom with (support, gids, exponents): the generic evaluator the
+    per-semiring ones replaced, kept as their reference."""
+    if kind == "arithmetic":
+        minpos = maxpos = 0
+    elif kind == "tropical":
+        minpos = maxpos = POS_INF
+    else:
+        minpos = maxpos = NEG_INF
+    emptyable = True
+    for sup, gids, coeffs in terms:
+        if sup & absent:
+            continue
+        tdef = not (sup & undecided)
+        if tdef:
+            emptyable = False
+        if kind == "arithmetic":
+            lo = hi = 1
+            for i, g in enumerate(gids):
+                v = val[g]
+                if v is None:
+                    hi *= wmax[g] ** coeffs[i]
+                else:
+                    lo *= v ** coeffs[i]
+                    hi *= v ** coeffs[i]
+            maxpos += hi
+            if tdef:
+                minpos += lo
+            continue
+        lo = hi = 0
+        for i, g in enumerate(gids):
+            v = val[g]
+            if v is None:
+                hi += wmax[g] * coeffs[i]
+            else:
+                lo += v * coeffs[i]
+                hi += v * coeffs[i]
+        if kind == "tropical":
+            minpos = min(minpos, lo)
+            if tdef:
+                maxpos = min(maxpos, hi)
+        else:
+            if tdef:
+                minpos = max(minpos, lo)
+            maxpos = max(maxpos, hi)
+    return minpos, maxpos, emptyable
+
+
+def _reference_eval(search, constraint):
+    ri, tk_sup, lterms, rterms = constraint
+    absent, undecided = search.absent_mask, search.undecided_mask
+    if tk_sup & absent:
+        return (True, True, True, False, True)
+    kind, wmax = search.p.kind.kind, search.p.wmax
+    _, lmax, lempty = _reference_side(lterms, absent, undecided, search.val, kind, wmax)
+    rmin, _, rempty = _reference_side(rterms, absent, undecided, search.val, kind, wmax)
+    l_top = POS_INF if kind == "tropical" and lempty else lmax
+    r_bot = NEG_INF if kind == "arctic" and rempty else rmin
+    return (l_top >= r_bot, l_top > r_bot, lempty and rempty, not (tk_sup & undecided), False)
+
+
+def _one_term_per_hom(terms):
+    """Merged (support, factors, k) terms back to k copies of
+    (support, gids, exponents)."""
+    out = []
+    for sup, factors, k in terms:
+        gids = tuple(sorted(set(factors)))
+        out += [(sup, gids, tuple(factors.count(g) for g in gids))] * k
+    return tuple(out)
+
+
+def test_evaluators_equal_the_generic_reference_on_one_term_per_hom():
+    """Each semiring's evaluator over merged terms gives the same state as
+    the generic one over one term per hom, on random partial and full
+    assignments."""
+    rng = random.Random(7)
+    systems = [parse_system_file(path.read_text()) for path in sorted(SYSTEMS.glob("*.gts"))]
+    systems.append(parse_system_file(STRING3))
+    merged = compared = 0
+    for system, kind, size, bits in itertools.product(
+        systems, ("arithmetic", "tropical", "arctic"), (1, 2), (1, 2)
+    ):
+        problem = _Problem(system.rules, system.framework, SEMIRINGS[kind], bits, size)
+        search = _Search(problem, None)
+        expanded = [
+            (ri, tk_sup, _one_term_per_hom(lterms), _one_term_per_hom(rterms))
+            for ri, tk_sup, lterms, rterms in problem.constraints
+        ]
+        merged += sum(t[2] > 1 for c in problem.constraints for t in c[2] + c[3])
+        for _ in range(20):
+            full = {v: rng.choice(problem.domain[v]) for v in problem.var_order}
+            keeps = [1.0] + [rng.random() for _ in range(3)]
+            for keep in keeps:
+                partial = {v: x if rng.random() < keep else None for v, x in full.items()}
+                states = _assign(search, partial)
+                expected = [_reference_eval(search, c) for c in expanded]
+                assert states == expected, (kind, size, bits)
+                compared += len(states)
+    assert merged > 0 and compared > 0
