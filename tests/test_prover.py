@@ -6,7 +6,12 @@ from pathlib import Path
 
 import pytest
 
-from dpoterm.certificate import Certificate, check_certificate, write_certificate
+from dpoterm.certificate import (
+    Certificate,
+    certificate_to_json,
+    check_certificate,
+    write_certificate,
+)
 from dpoterm.prover import (
     ABSENT,
     Basic,
@@ -130,6 +135,16 @@ def test_prover_output_passes_checker():
         system = load(name)
         res = run_strategy(system, DEFAULT_STRATEGY)
         assert check_certificate(system, res.certificate).accepted
+
+
+def test_default_strategy_reproduces_the_pinned_certificates():
+    # tests/certificates holds each shipped system's default-strategy
+    # certificate, text and JSON; search changes must keep them byte-identical
+    pinned = Path(__file__).resolve().parent / "certificates"
+    for path in sorted(SYSTEMS.glob("*.gts")):
+        cert = run_strategy(parse_system_file(path.read_text()), DEFAULT_STRATEGY).certificate
+        assert write_certificate(cert) == (pinned / f"{path.stem}.cert").read_text(), path.stem
+        assert certificate_to_json(cert) == (pinned / f"{path.stem}.json").read_text(), path.stem
 
 
 def test_search_determinism():
