@@ -9,9 +9,10 @@ keeps the inner loop free of graph algorithms.
 
 Assignments are explored depth first inside growing cost tiers
 (weights cost their magnitude, absence is free), so sparse low-weight
-certificates are found quickly while exhaustion stays complete. Within
-the successful tier the search then maximizes the number of removable
-rules, which keeps removal loops short.
+certificates are found quickly while exhaustion stays complete. An
+undecided weight is bounded by the heaviest weight its tier still
+affords. Within the successful tier the search then maximizes the number
+of removable rules, which keeps removal loops short.
 """
 from __future__ import annotations
 
@@ -448,6 +449,34 @@ class _Search:
             b = problem.bitpos[g]
             if b >= 0 and self.val[g] is None:
                 self.undecided_mask |= 1 << b
+        # Weight bounds, read by the evaluators: hi bounds L sides above
+        # and lo bounds R sides below, with lo == hi for a decided weight.
+        # An undecided weight lies between the semiring's one and the
+        # lesser of its maximum and cap, the heaviest weight that the cost
+        # tier leaves it (see _dfs). Outside a run, cap is the largest
+        # maximum, which caps nothing.
+        self.lo = [problem.neutral if x is None else x for x in self.val]
+        self.hi = [w if x is None else x for w, x in zip(problem.wmax, self.val)]
+        self.uncapped = self.cap = max(problem.wmax)
+        order = problem.var_order
+        # the heaviest maximum weight below each depth: a cap at or above
+        # it changes no bound
+        self.deep_wmax = [0] * len(order)
+        for d in range(len(order) - 1, 0, -1):
+            self.deep_wmax[d - 1] = max(self.deep_wmax[d], problem.wmax[order[d]])
+        # per variable and cost left, the values it can afford, in
+        # domain order; a value's cost depends on nothing else, so equal
+        # domains share one table
+        self.within: list[list[tuple]] = [[] for _ in range(problem.nvars)]
+        tables: dict[tuple, list[tuple]] = {}
+        for v in order:
+            dom, costs = tuple(problem.domain[v]), problem.cost[v]
+            if dom not in tables:
+                tables[dom] = [
+                    tuple(x for x in dom if costs[x] <= left)
+                    for left in range(max(costs.values()) + 1)
+                ]
+            self.within[v] = tables[dom]
         self.cons = problem.constraints
         self.var_cids: list[list[int]] = [[] for _ in range(problem.nvars)]
         # occurrences for the relevance test: (cid, None) when the var is
@@ -477,6 +506,8 @@ class _Search:
         self.uniform_blocked = [0] * nr
         for cid in range(len(self.cons)):
             self._set_state(cid, self._eval(cid))
+        # where each transposition's lex comparison stopped (see _sym_ok)
+        self.sym_pos = [0] * len(problem.sym_perms)
         self.nodes = 0
 
     # --- constraint evaluation ---------------------------------------
@@ -484,10 +515,9 @@ class _Search:
     # Each evaluator returns the constraint state for the current partial
     # assignment. A term is live unless its support holds an absent
     # element, and definite when its support holds no undecided one. The
-    # L side is bounded above with undecided weights at their maximum and
-    # the R side below with them at the semiring's least weight, so weak
-    # and strict decrease are over-approximated; a side is emptyable when
-    # it has no definite live term.
+    # L side is bounded above by the weights in hi and the R side below by
+    # those in lo, so weak and strict decrease are over-approximated; a
+    # side is emptyable when it has no definite live term.
 
     def _eval_arithmetic(self, cid):
         """Sums of k times the product of the factors' weights; an
@@ -498,8 +528,8 @@ class _Search:
             return _VACUOUS
         undecided = self.undecided_mask
         gone = absent | undecided
-        val = self.val
         def_active = not (tk_sup & undecided)
+        lo = self.lo
         r_bot = 0
         rempty = True
         for sup, factors, k in rterms:
@@ -507,11 +537,9 @@ class _Search:
                 continue
             rempty = False
             for g in factors:
-                v = val[g]
-                if v is not None:
-                    k *= v
+                k *= lo[g]
             r_bot += k
-        wmax = self.p.wmax
+        hi = self.hi
         nonempty = not rempty
         l_top = 0
         lempty = True
@@ -522,8 +550,7 @@ class _Search:
                 lempty = False
                 nonempty = True
             for g in factors:
-                v = val[g]
-                k *= wmax[g] if v is None else v
+                k *= hi[g]
             l_top += k
             # the L sum only grows and a non-empty side stays non-empty
             if nonempty and l_top > r_bot:
@@ -539,20 +566,19 @@ class _Search:
             return _VACUOUS
         undecided = self.undecided_mask
         gone = absent | undecided
-        val = self.val
-        wmax = self.p.wmax
+        hi = self.hi
         l_top = sr.POS_INF
         lempty = True
         for sup, factors, _ in lterms:
             if sup & gone:
                 continue
             lempty = False
-            hi = 0
+            top = 0
             for g in factors:
-                v = val[g]
-                hi += wmax[g] if v is None else v
-            if hi < l_top:
-                l_top = hi
+                top += hi[g]
+            if top < l_top:
+                l_top = top
+        lo = self.lo
         r_bot = sr.POS_INF
         rempty = True
         for sup, factors, _ in rterms:
@@ -560,13 +586,11 @@ class _Search:
                 continue
             if not sup & undecided:
                 rempty = False
-            lo = 0
+            bot = 0
             for g in factors:
-                v = val[g]
-                if v is not None:
-                    lo += v
-            if lo < r_bot:
-                r_bot = lo
+                bot += lo[g]
+            if bot < r_bot:
+                r_bot = bot
         return (
             l_top >= r_bot, l_top > r_bot, lempty and rempty, not (tk_sup & undecided), False
         )
@@ -580,8 +604,7 @@ class _Search:
             return _VACUOUS
         undecided = self.undecided_mask
         gone = absent | undecided
-        val = self.val
-        wmax = self.p.wmax
+        hi = self.hi
         l_top = sr.NEG_INF
         lempty = True
         for sup, factors, _ in lterms:
@@ -589,25 +612,23 @@ class _Search:
                 continue
             if not sup & undecided:
                 lempty = False
-            hi = 0
+            top = 0
             for g in factors:
-                v = val[g]
-                hi += wmax[g] if v is None else v
-            if hi > l_top:
-                l_top = hi
+                top += hi[g]
+            if top > l_top:
+                l_top = top
+        lo = self.lo
         r_bot = sr.NEG_INF
         rempty = True
         for sup, factors, _ in rterms:
             if sup & gone:
                 continue
             rempty = False
-            lo = 0
+            bot = 0
             for g in factors:
-                v = val[g]
-                if v is not None:
-                    lo += v
-            if lo > r_bot:
-                r_bot = lo
+                bot += lo[g]
+            if bot > r_bot:
+                r_bot = bot
         return (
             l_top >= r_bot, l_top > r_bot, lempty and rempty, not (tk_sup & undecided), False
         )
@@ -682,28 +703,50 @@ class _Search:
         self.found = None
         self.node_stop = self.nodes + node_limit if node_limit else None
         self._dfs(0, 0, tier, target)
+        if self.cap < self.uncapped:
+            self._recap(0, self.uncapped)
         return self.found
 
-    def _sym_ok(self) -> bool:
+    def _recap(self, first: int, cap: int):
+        """Bound every weight from var_order[first] on by cap."""
+        self.cap = cap
+        hi, wmax = self.hi, self.p.wmax
+        for u in self.p.var_order[first:]:
+            w = wmax[u]
+            hi[u] = w if w < cap else cap
+
+    def _sym_ok(self, v: int) -> bool:
         """Lex-leader pruning: the assignment, read along the variable
         order, must not be strictly above any of its transposition
-        images (undecided positions end the comparison)."""
+        images (undecided positions end the comparison). Each
+        transposition keeps in sym_pos the position where its comparison
+        stopped; only fixing v there, or at its image, can move it on.
+        The caller restores sym_pos when it unfixes v."""
         val = self.val
         order = self.p.var_order
-        for perm in self.p.sym_perms:
-            for v in order:
-                a = val[v]
-                b = val[perm[v]]
+        end = len(order)
+        pos = self.sym_pos
+        for j, perm in enumerate(self.p.sym_perms):
+            i = pos[j]
+            if i == end:
+                continue
+            u = order[i]
+            if u != v and perm[u] != v:
+                continue
+            while i < end:
+                u = order[i]
+                a = val[u]
+                b = val[perm[u]]
                 if a is None or b is None:
                     break
-                if a == b:
-                    continue
-                # absent ranks above every weight
-                ka = (a == ABSENT, a)
-                kb = (b == ABSENT, b)
-                if ka > kb:
-                    return False
-                break
+                if a != b:
+                    # absent ranks above every weight
+                    if (a == ABSENT, a) > (b == ABSENT, b):
+                        return False
+                    i = end
+                    break
+                i += 1
+            pos[j] = i
         return True
 
     def _relevant(self, v: int) -> bool:
@@ -742,21 +785,34 @@ class _Search:
         if not self._relevant(v):
             values = (ABSENT,) if bit >= 0 else (p.neutral,)
         else:
-            values = p.domain[v]
+            within = self.within[v]
+            values = within[min(tier - cost, len(within) - 1)]
+        costs = p.cost[v]
+        neutral = p.neutral
+        wv = p.wmax[v]
+        # a weight w costs w - one, so under a value costing extra no leaf
+        # of this tier gives a deeper weight more than left - extra
+        left = tier - cost + neutral
+        deep = self.deep_wmax[depth]
+        lo, hi = self.lo, self.hi
         cids = self.var_cids[v]
         cstate = self.cstate
         weak0 = self.weak_blocked[:]
         uniform0 = self.uniform_blocked[:]
+        sym_pos = self.sym_pos
+        sym0 = sym_pos[:]
         for value in values:
-            extra = p.cost[v][value]
-            if cost + extra > tier:
-                continue
-            self.val[v] = value
+            extra = costs[value]
+            self.val[v] = lo[v] = hi[v] = value
+            cap = left - extra
+            applied = self.cap
+            if cap != applied and (cap < deep or applied < deep):
+                self._recap(depth + 1, cap)
             if bit >= 0:
                 self.undecided_mask &= ~(1 << bit)
                 if value == ABSENT:
                     self.absent_mask |= 1 << bit
-            if self._sym_ok():
+            if self._sym_ok(v):
                 # A definitely active constraint that is not weakly
                 # decreasing decides the prune on its own: it is also
                 # uniform-blocked (two empty sides always compare
@@ -784,7 +840,11 @@ class _Search:
                         cstate[cid] = old
                     self.weak_blocked[:] = weak0
                     self.uniform_blocked[:] = uniform0
+            sym_pos[:] = sym0
             self.val[v] = None
+            lo[v] = neutral
+            applied = self.cap
+            hi[v] = wv if wv < applied else applied
             if bit >= 0:
                 self.undecided_mask |= 1 << bit
                 if value == ABSENT:

@@ -34,7 +34,6 @@ from dpoterm.wtg import (
 )
 
 SYSTEMS = Path(__file__).resolve().parent.parent / "systems"
-ABSENT = None
 
 
 def _shape_keys(system):
@@ -130,7 +129,7 @@ def _mask_has_proof(system, kind, T, present, domains, shape_keys) -> bool:
             if verify_context_closure(c, rule, system.framework)
         }
         closure_cons = [c for c in cons if c.t_k.maps in closures]
-        rules.append((rule, cons, closure_cons))
+        rules.append((cons, closure_cons))
 
     element_cache = {}
 
@@ -148,7 +147,7 @@ def _mask_has_proof(system, kind, T, present, domains, shape_keys) -> bool:
             (e[0], TM.labels[e[0]][e[1]]) for e, w in zip(weighted, weights) if w != one
         )
         if shapes not in admissible:
-            domains_used = [shape_keys[key][:2] for key in sorted(shapes, key=str)]
+            domains_used = [shape_keys[key][:2] for key in shapes]
             admissible[shapes] = all(
                 check_rule_admissibility(r, system.framework, domains_used)["leftWeighable"]
                 for r in system.rules
@@ -156,7 +155,7 @@ def _mask_has_proof(system, kind, T, present, domains, shape_keys) -> bool:
         if not admissible[shapes]:
             continue
         removes = False
-        for rule, cons, closure_cons in rules:
+        for cons, closure_cons in rules:
             weak = uniform = True
             for c in cons:
                 le, lt = c.compare(weights, one, make_element)
