@@ -464,19 +464,6 @@ class _Search:
         self.deep_wmax = [0] * len(order)
         for d in range(len(order) - 1, 0, -1):
             self.deep_wmax[d - 1] = max(self.deep_wmax[d], problem.wmax[order[d]])
-        # per variable and cost left, the values it can afford, in
-        # domain order; a value's cost depends on nothing else, so equal
-        # domains share one table
-        self.within: list[list[tuple]] = [[] for _ in range(problem.nvars)]
-        tables: dict[tuple, list[tuple]] = {}
-        for v in order:
-            dom, costs = tuple(problem.domain[v]), problem.cost[v]
-            if dom not in tables:
-                tables[dom] = [
-                    tuple(x for x in dom if costs[x] <= left)
-                    for left in range(max(costs.values()) + 1)
-                ]
-            self.within[v] = tables[dom]
         self.cons = problem.constraints
         self.var_cids: list[list[int]] = [[] for _ in range(problem.nvars)]
         # occurrences for the relevance test: (cid, None) when the var is
@@ -506,8 +493,6 @@ class _Search:
         self.uniform_blocked = [0] * nr
         for cid in range(len(self.cons)):
             self._set_state(cid, self._eval(cid))
-        # where each transposition's lex comparison stopped (see _sym_ok)
-        self.sym_pos = [0] * len(problem.sym_perms)
         self.nodes = 0
 
     # --- constraint evaluation ---------------------------------------
@@ -715,38 +700,26 @@ class _Search:
             w = wmax[u]
             hi[u] = w if w < cap else cap
 
-    def _sym_ok(self, v: int) -> bool:
+    def _sym_ok(self) -> bool:
         """Lex-leader pruning: the assignment, read along the variable
         order, must not be strictly above any of its transposition
-        images (undecided positions end the comparison). Each
-        transposition keeps in sym_pos the position where its comparison
-        stopped; only fixing v there, or at its image, can move it on.
-        The caller restores sym_pos when it unfixes v."""
+        images (undecided positions end the comparison)."""
         val = self.val
         order = self.p.var_order
-        end = len(order)
-        pos = self.sym_pos
-        for j, perm in enumerate(self.p.sym_perms):
-            i = pos[j]
-            if i == end:
-                continue
-            u = order[i]
-            if u != v and perm[u] != v:
-                continue
-            while i < end:
-                u = order[i]
-                a = val[u]
-                b = val[perm[u]]
+        for perm in self.p.sym_perms:
+            for v in order:
+                a = val[v]
+                b = val[perm[v]]
                 if a is None or b is None:
                     break
-                if a != b:
-                    # absent ranks above every weight
-                    if (a == ABSENT, a) > (b == ABSENT, b):
-                        return False
-                    i = end
-                    break
-                i += 1
-            pos[j] = i
+                if a == b:
+                    continue
+                # absent ranks above every weight
+                ka = (a == ABSENT, a)
+                kb = (b == ABSENT, b)
+                if ka > kb:
+                    return False
+                break
         return True
 
     def _relevant(self, v: int) -> bool:
@@ -785,8 +758,7 @@ class _Search:
         if not self._relevant(v):
             values = (ABSENT,) if bit >= 0 else (p.neutral,)
         else:
-            within = self.within[v]
-            values = within[min(tier - cost, len(within) - 1)]
+            values = p.domain[v]
         costs = p.cost[v]
         neutral = p.neutral
         wv = p.wmax[v]
@@ -799,10 +771,10 @@ class _Search:
         cstate = self.cstate
         weak0 = self.weak_blocked[:]
         uniform0 = self.uniform_blocked[:]
-        sym_pos = self.sym_pos
-        sym0 = sym_pos[:]
         for value in values:
             extra = costs[value]
+            if cost + extra > tier:
+                continue
             self.val[v] = lo[v] = hi[v] = value
             cap = left - extra
             applied = self.cap
@@ -812,7 +784,7 @@ class _Search:
                 self.undecided_mask &= ~(1 << bit)
                 if value == ABSENT:
                     self.absent_mask |= 1 << bit
-            if self._sym_ok(v):
+            if self._sym_ok():
                 # A definitely active constraint that is not weakly
                 # decreasing decides the prune on its own: it is also
                 # uniform-blocked (two empty sides always compare
@@ -840,7 +812,6 @@ class _Search:
                         cstate[cid] = old
                     self.weak_blocked[:] = weak0
                     self.uniform_blocked[:] = uniform0
-            sym_pos[:] = sym0
             self.val[v] = None
             lo[v] = neutral
             applied = self.cap

@@ -384,7 +384,6 @@ def _search_state(search):
         search.undecided_mask,
         list(search.lo),
         list(search.hi),
-        list(search.sym_pos),
     )
 
 
