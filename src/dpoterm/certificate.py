@@ -1,64 +1,27 @@
-"""Proof certificates: serialization and the independent checker.
+"""Proof certificates: the text and JSON writers and readers.
 
-The checker replays every removal step with plain recomputation (no
-search): weight legality, admissibility of the element domains, the
-claimed context closures, and the side-weight comparison demanded by
-each recorded classification, for every morphism from the interface
-into the step's type graph.
+The readers are outside the trusted base: `checker.check_certificate`
+re-checks every part of a Certificate it relies on, so a misread
+certificate is rejected or is itself a valid proof.
 """
 from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
 from typing import Optional
 
-from . import semiring as sr
-from .dpo import check_rule_admissibility, Rule
-from .graph import CGraph, GraphError, validate_instance
-from .morphism import compose
-from .semiring import SEMIRINGS
-from .sysfile import (
-    System,
-    SystemParseError,
-    _names_to_morphism,
-    _parse_graph_block,
-    _parse_map,
-    print_graph_block,
-    system_hash,
+from .checker import (  # check_certificate and step_wtg are re-exported
+    Certificate,
+    CertificateError,
+    CertStep,
+    RuleEntry,
+    check_certificate,
+    step_wtg,
 )
-from .wtg import WeightedTypeGraph, element_at, side_comparisons, verify_context_closure
+from .graph import CGraph
+from .sysfile import _parse_graph_block, _parse_map, print_graph_block
 
 VERSION = 2
-VERDICTS = ("terminating", "relatively-terminating", "failed")
-
-
-class CertificateError(ValueError):
-    pass
-
-
-@dataclass(frozen=True)
-class RuleEntry:
-    rule: str
-    classification: str
-    closure: Optional[tuple[tuple[str, str], ...]] = None  # L name -> T name
-
-
-@dataclass(frozen=True)
-class CertStep:
-    semiring_kind: str
-    type_graph: CGraph
-    elements: tuple[tuple[str, str, int], ...]  # (sort, element name, weight)
-    entries: tuple[RuleEntry, ...]
-    removed: tuple[str, ...]
-
-
-@dataclass(frozen=True)
-class Certificate:
-    system_hash: str
-    steps: tuple[CertStep, ...]
-    verdict: str
-    remaining: tuple[str, ...] = ()
 
 
 def _element_label(T: CGraph, sort: str, name: str) -> Optional[str]:
@@ -302,144 +265,3 @@ def _certificate_from_text(sig, text: str) -> Certificate:
     return Certificate(shash, tuple(steps), verdict, remaining)
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    accepted: bool
-    reason: Optional[str] = None
-
-
-def _reject(reason: str) -> CheckResult:
-    return CheckResult(False, reason)
-
-
-def _element_ids(g: CGraph) -> dict[tuple[str, str], tuple[int, int]]:
-    out = {}
-    for s in range(len(g.sig.objects)):
-        for i in range(g.n(s)):
-            out[(g.sig.objects[s].name, g.name_of(s, i))] = (s, i)
-    return out
-
-
-def step_wtg(step: CertStep) -> WeightedTypeGraph:
-    """The weighted type graph a certificate step records; raises
-    CertificateError on an unknown semiring, an invalid type graph, an
-    unknown element or a bad weight."""
-    if step.semiring_kind not in SEMIRINGS:
-        raise CertificateError("unknown semiring")
-    T = step.type_graph
-    try:
-        validate_instance(T)
-    except GraphError as e:
-        raise CertificateError(f"invalid type graph: {e}") from None
-    ids = _element_ids(T)
-    elements = []
-    for sort, name, w in step.elements:
-        if (sort, name) not in ids:
-            raise CertificateError("weighted element names an unknown element")
-        s, i = ids[(sort, name)]
-        try:
-            elements.append(element_at(T, sort, T.labels[s][i], i, w))
-        except ValueError as e:
-            raise CertificateError(f"bad weighted element: {e}") from None
-    wtg = WeightedTypeGraph(T, tuple(elements), SEMIRINGS[step.semiring_kind])
-    try:
-        wtg.validate()
-    except ValueError as e:
-        raise CertificateError(str(e)) from None
-    return wtg
-
-
-def check_certificate(system: System, cert: Certificate) -> CheckResult:
-    if cert.system_hash != system_hash(system):
-        return _reject("system hash mismatch")
-    if cert.verdict not in VERDICTS:
-        return _reject(f"unknown verdict {cert.verdict!r}")
-    remaining: dict[str, Rule] = {r.name: r for r in system.rules}
-    for idx, step in enumerate(cert.steps, 1):
-        where = f"step {idx}"
-        try:
-            wtg = step_wtg(step)
-        except CertificateError as e:
-            return _reject(f"{where}: {e}")
-        entry_names = [e.rule for e in step.entries]
-        if sorted(entry_names) != sorted(remaining):
-            return _reject(
-                f"{where}: classifications do not cover the remaining rules"
-            )
-        if not step.removed:
-            return _reject(f"{where}: removes no rule")
-        if len(set(step.removed)) < len(step.removed):
-            return _reject(f"{where}: lists a removed rule twice")
-        domains = [(we.shape, we.gen) for we in wtg.elements]
-        for entry in step.entries:
-            rule = remaining[entry.rule]
-            adm = check_rule_admissibility(rule, system.framework, domains)
-            if not adm["leftWeighable"] or not adm["rightBounded"]:
-                return _reject(
-                    f"{where}: rule {rule.name} not weighable: "
-                    + "; ".join(adm["diagnostics"])
-                )
-            closure = None
-            if entry.closure is not None:
-                try:
-                    closure = _names_to_morphism(
-                        rule.left, wtg.T, dict(entry.closure), 0
-                    )
-                except SystemParseError as e:
-                    return _reject(f"{where}: rule {rule.name}: bad closure ({e})")
-                if not verify_context_closure(closure, rule, system.framework):
-                    return _reject(
-                        f"{where}: rule {rule.name}: closure is not a context closure"
-                    )
-            verdict = _verify_classification(wtg, rule, entry.classification, closure)
-            if verdict is not None:
-                return _reject(f"{where}: rule {rule.name}: {verdict}")
-        removable = {
-            e.rule
-            for e in step.entries
-            if e.classification in ("uniform", "closureDecreasing")
-        }
-        for name in step.removed:
-            if name not in removable:
-                return _reject(f"{where}: removal of {name} is not justified")
-        for name in step.removed:
-            del remaining[name]
-    s1_left = [n for n in system.s1_names() if n in remaining]
-    if cert.verdict == "terminating" and remaining:
-        return _reject("verdict says terminating but rules remain")
-    if cert.verdict == "relatively-terminating" and (s1_left or not remaining):
-        return _reject("verdict says relatively-terminating but S1 rules remain")
-    if cert.verdict == "failed" and not s1_left:
-        return _reject("verdict says failed but all S1 rules were removed")
-    if tuple(sorted(remaining)) != tuple(sorted(cert.remaining)):
-        return _reject("remaining rule list does not match the steps")
-    return CheckResult(True)
-
-
-def _verify_classification(
-    wtg: WeightedTypeGraph, rule: Rule, classification: str, closure
-) -> Optional[str]:
-    k = wtg.semiring
-    if classification not in ("weak", "uniform", "closureDecreasing"):
-        return f"unknown classification {classification!r}"
-    if classification in ("uniform", "closureDecreasing") and closure is None:
-        return "strict classification without a closure"
-    if classification == "closureDecreasing" and not k.strictly_monotonic:
-        return "closureDecreasing needs a strictly monotonic semiring"
-    t_kc = compose(closure, rule.l).maps if closure is not None else None
-    strict_at_closure = False
-    for t_k, wl, wr, empty in side_comparisons(wtg, rule):
-        strict = sr.s_lt(k, wr, wl)
-        if classification == "uniform":
-            if not (strict or empty):
-                return (
-                    f"uniform comparison fails at t_K = {t_k.maps} "
-                    f"({wl} vs {wr})"
-                )
-        elif not sr.s_le(k, wr, wl):
-            return f"weak comparison fails at t_K = {t_k.maps} ({wl} vs {wr})"
-        if t_k.maps == t_kc and strict:
-            strict_at_closure = True
-    if classification == "closureDecreasing" and not strict_at_closure:
-        return "no strict decrease at the closure t_K"
-    return None

@@ -14,14 +14,8 @@ import argparse
 import sys
 from pathlib import Path
 
-from .certificate import (
-    CertificateError,
-    check_certificate,
-    certificate_to_json,
-    read_certificate,
-    step_wtg,
-    write_certificate,
-)
+from .certificate import certificate_to_json, read_certificate, write_certificate
+from .checker import CertificateError, check_certificate, step_wtg
 from .dpo import enumerate_matches
 from .graph import canonical_key
 from .prover import DEFAULT_STRATEGY, parse_strategy, run_strategy

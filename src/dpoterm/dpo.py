@@ -1,4 +1,4 @@
-"""DPO rules, pushouts, pushout complements and step application.
+"""Pushouts, pushout complements and step application.
 
 Pushouts are computed as quotiented disjoint unions; on simple sorts
 the quotient additionally merges parallel duplicates until a fixpoint,
@@ -6,73 +6,12 @@ which is the reflection into the subcategory of simple instances.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Optional
 
-from .graph import CGraph, ElementRef, validate_instance
-from .morphism import (
-    Morphism,
-    MorphismError,
-    classify_monicity,
-    compose,
-    enumerate_homs,
-)
-
-
-class DpoError(ValueError):
-    pass
-
-
-MATCH_CLASSES = ("unrestricted", "monic", "regular-monic")
-
-
-@dataclass(frozen=True)
-class Framework:
-    match_class: str
-
-    def __post_init__(self):
-        if self.match_class not in MATCH_CLASSES:
-            raise DpoError(f"unknown match class {self.match_class!r}")
-
-
-UNRESTRICTED = Framework("unrestricted")
-MONIC = Framework("monic")
-REGULAR_MONIC = Framework("regular-monic")
-
-
-@dataclass(frozen=True)
-class Rule:
-    name: str
-    l: Morphism
-    r: Morphism
-
-    def validate(self) -> None:
-        if self.l.dom != self.r.dom:
-            raise DpoError(f"rule {self.name}: the two legs have different interfaces")
-        self.l.validate()
-        self.r.validate()
-        mono = classify_monicity(self.l)
-        if not mono["monic"]:
-            raise DpoError(f"rule {self.name}: left leg must be monic")
-        if self.l.dom.sig.has_simple and not mono["regularMonic"]:
-            raise DpoError(
-                f"rule {self.name}: left leg must be regular monic because the "
-                f"signature has simple sorts (add the reflected elements to the "
-                f"interface)"
-            )
-
-    @property
-    def interface(self) -> CGraph:
-        return self.l.dom
-
-    @property
-    def left(self) -> CGraph:
-        return self.l.cod
-
-    @property
-    def right(self) -> CGraph:
-        return self.r.cod
+from .graph import CGraph
+from .morphism import Morphism, MorphismError, classify_monicity, enumerate_homs
+from .sysfile import DpoError, Framework, Rule
 
 
 @dataclass(frozen=True)
@@ -303,77 +242,3 @@ def enumerate_matches(
         H, w, r_prime = pushout(rule.r, u)
         out.append((m, StepDiagram(rule, m, u, l_prime, w, r_prime)))
     return out
-
-
-def pullback(f: Morphism, g: Morphism) -> tuple[CGraph, Morphism, Morphism]:
-    """Pullback of the cospan B -f-> D <-g- C, computed elementwise."""
-    if f.cod != g.cod:
-        raise MorphismError("pullback: cospan legs have different codomains")
-    B, C = f.dom, g.dom
-    sig = B.sig
-    ns = len(sig.objects)
-    pairs: list[list[tuple[int, int]]] = [[] for _ in range(ns)]
-    pair_id: list[dict[tuple[int, int], int]] = [{} for _ in range(ns)]
-    for s in range(ns):
-        for b in range(B.n(s)):
-            for c in range(C.n(s)):
-                if f.maps[s][b] == g.maps[s][c]:
-                    pair_id[s][(b, c)] = len(pairs[s])
-                    pairs[s].append((b, c))
-    args = tuple(
-        tuple(
-            tuple(
-                pair_id[t][(B.args[s][b][pos], C.args[s][c][pos])]
-                for pos, t in enumerate(sig.arg_sorts(s))
-            )
-            for b, c in pairs[s]
-        )
-        for s in range(ns)
-    )
-    labels = tuple(tuple(B.labels[s][b] for b, _ in pairs[s]) for s in range(ns))
-    P = CGraph(sig, args, labels)
-    p_b = Morphism(P, B, tuple(tuple(b for b, _ in pairs[s]) for s in range(ns)))
-    p_c = Morphism(P, C, tuple(tuple(c for _, c in pairs[s]) for s in range(ns)))
-    return P, p_b, p_c
-
-
-def check_rule_admissibility(
-    rule: Rule, fw: Framework, element_domains: Iterable[tuple[CGraph, ElementRef]]
-) -> dict:
-    """Static weighability check for the rule's left squares and
-    boundedness for its right squares, for the given weighted-element
-    domains (representable shapes).
-
-    Right squares are always bounded above: representable shapes trace
-    along every pushout. Left squares need (a) strong traceability,
-    granted by the (regular) monic left leg, (b) matches monic for every
-    domain shape, automatic except under unrestricted matching where the
-    static condition is that at most one morphism from the shape factors
-    through l, and (c) l' monic for the shapes outside u, which holds
-    for representable domains.
-    """
-    diagnostics: list[str] = []
-    left_ok = True
-    mono = classify_monicity(rule.l)
-    if not mono["monic"]:
-        left_ok = False
-        diagnostics.append("left leg is not monic (no strong traceability)")
-    elif rule.left.sig.has_simple and not mono["regularMonic"]:
-        left_ok = False
-        diagnostics.append(
-            "left leg is not regular monic on a simple signature "
-            "(no strong traceability)"
-        )
-    if fw.match_class == "unrestricted":
-        K = rule.interface
-        for shape, gen in element_domains:
-            s, lab = gen.sort, shape.labels[gen.sort][gen.id]
-            n = sum(1 for i in range(K.n(s)) if K.labels[s][i] == lab)
-            if n > 1:
-                left_ok = False
-                diagnostics.append(
-                    f"unrestricted matches may merge the {n} interface elements "
-                    f"of shape {K.sig.objects[s].name}"
-                    + (f"[{lab}]" if lab else "")
-                )
-    return {"leftWeighable": left_ok, "rightBounded": True, "diagnostics": diagnostics}

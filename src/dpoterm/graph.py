@@ -58,9 +58,6 @@ class CGraph:
             return self.names[s][i]
         return f"{self.sig.objects[s].name}{i}"
 
-    def with_names(self, names: Sequence[Sequence[str]]) -> "CGraph":
-        return CGraph(self.sig, self.args, self.labels, tuple(tuple(ns) for ns in names))
-
     @staticmethod
     def build(sig: IndexSignature, elements: Iterable[tuple]) -> "CGraph":
         """Build from (sort, name, label, arg names) rows; names are
@@ -107,11 +104,6 @@ class CGraph:
         )
         validate_instance(g)
         return g
-
-
-def empty_graph(sig: IndexSignature) -> CGraph:
-    n = len(sig.objects)
-    return CGraph(sig, ((),) * n, ((),) * n)
 
 
 def validate_instance(g: CGraph) -> None:

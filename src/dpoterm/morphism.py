@@ -1,4 +1,4 @@
-"""Homomorphism enumeration, composition, factorization and monicity.
+"""Homomorphism enumeration, composition, extension and monicity.
 
 A morphism is a sort-indexed total map commuting with every argument
 arrow and preserving labels. Enumeration backtracks over sorts in
@@ -87,22 +87,15 @@ def enumerate_homs(
     H: CGraph,
     constraint: Optional[dict[tuple[int, int], int]] = None,
     mono_only: bool = False,
-    fiber: Optional[tuple[Morphism, Morphism]] = None,
 ) -> list[Morphism]:
     """All homomorphisms G -> H in a deterministic order.
 
     constraint pins chosen elements: (sort, dom id) -> cod id.
-    fiber = (p, q) with p: H -> Z, q: G -> Z restricts to morphisms h
-    with p∘h = q (used for commuting-triangle and factorization counts).
     mono_only keeps only the per-sort injective ones.
     """
     sig = G.sig
     if H.sig != sig:
         raise MorphismError("graphs share no signature")
-    if fiber is not None:
-        p, q = fiber
-        if p.dom != H or q.dom != G or p.cod != q.cod:
-            raise MorphismError("fiber constraint does not match the graphs")
     if constraint:
         for (s, i), j in constraint.items():
             if not (0 <= i < G.n(s) and 0 <= j < H.n(s)):
@@ -137,8 +130,6 @@ def enumerate_homs(
             if pinned is not None and j != pinned:
                 continue
             if mono_only and j in used[s]:
-                continue
-            if fiber is not None and fiber[0].maps[s][j] != fiber[1].maps[s][i]:
                 continue
             maps[s][i] = j
             if mono_only:
@@ -175,35 +166,3 @@ def classify_monicity(f: Morphism) -> dict[str, bool]:
                     regular = False
                     break
     return {"monic": monic, "regularMonic": regular and monic}
-
-
-def is_x_monic(f: Morphism, X: CGraph, outside_of: Optional[Morphism] = None) -> bool:
-    """f∘g = f∘h implies g = h for g, h: X -> dom(f); when outside_of=u
-    is given, g and h range only over morphisms not factoring through u.
-    """
-    if outside_of is not None and outside_of.cod != f.dom:
-        raise MorphismError("outside_of morphism must land in dom(f)")
-    homs = enumerate_homs(X, f.dom)
-    if outside_of is not None:
-        homs = [g for g in homs if not factor_through(g, outside_of)]
-    by_comp: dict[tuple, Morphism] = {}
-    for g in homs:
-        key = compose(f, g).maps
-        if key in by_comp and by_comp[key] != g:
-            return False
-        by_comp[key] = g
-    return True
-
-
-def factor_through(x: Morphism, u: Morphism) -> list[Morphism]:
-    """All z: dom(x) -> dom(u) with u∘z = x."""
-    if x.cod != u.cod:
-        raise MorphismError("factor_through: codomain mismatch")
-    return enumerate_homs(x.dom, u.dom, fiber=(u, x))
-
-
-def count_triangles(e: Morphism, phi: Morphism) -> int:
-    """#{a: dom(e) -> dom(phi) | phi∘a = e}."""
-    if e.cod != phi.cod:
-        raise MorphismError("count_triangles: codomain mismatch")
-    return len(enumerate_homs(e.dom, phi.dom, fiber=(phi, e)))

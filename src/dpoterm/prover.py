@@ -22,14 +22,19 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from . import semiring as sr
-from .certificate import Certificate, CertStep, RuleEntry
-from .dpo import Framework, Rule, check_rule_admissibility
+from .checker import Certificate, CertStep, RuleEntry
 from .graph import CGraph, complete_type_graph
 from .morphism import Morphism, compose, enumerate_homs, extensions, image_elements
 from .semiring import SEMIRINGS, SemiringDescriptor
 from .signature import IndexSignature, representable_shapes
-from .sysfile import System, system_hash
-from .wtg import detect_collapse_epi, flower_bases, flower_morphism, saturation_closure
+from .sysfile import Framework, System, system_hash
+from .wtg import (
+    check_rule_admissibility,
+    detect_collapse_epi,
+    flower_bases,
+    flower_morphism,
+    saturation_closure,
+)
 
 DEFAULT_STRATEGY = (
     "repeat(arithmetic(size=2,bits=4,timeout=30) | "

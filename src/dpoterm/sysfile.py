@@ -1,4 +1,5 @@
-"""System files: the textual input format and its round-trip.
+"""The system model (rules and matching frameworks) and the textual
+input format of system files.
 
 Grammar (line oriented, '#' comments, blank lines ignored):
 
@@ -27,12 +28,11 @@ from __future__ import annotations
 
 import hashlib
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
-from .dpo import Framework, MATCH_CLASSES, Rule
 from .graph import CGraph
-from .morphism import Morphism, MorphismError
+from .morphism import Morphism, MorphismError, classify_monicity
 from .signature import IndexSignature, parse_signature
 
 
@@ -40,6 +40,61 @@ class SystemParseError(ValueError):
     def __init__(self, msg: str, line: int):
         super().__init__(f"line {line}: {msg}")
         self.line = line
+
+
+class DpoError(ValueError):
+    pass
+
+
+MATCH_CLASSES = ("unrestricted", "monic", "regular-monic")
+
+
+@dataclass(frozen=True)
+class Framework:
+    match_class: str
+
+    def __post_init__(self):
+        if self.match_class not in MATCH_CLASSES:
+            raise DpoError(f"unknown match class {self.match_class!r}")
+
+
+UNRESTRICTED = Framework("unrestricted")
+MONIC = Framework("monic")
+REGULAR_MONIC = Framework("regular-monic")
+
+
+@dataclass(frozen=True)
+class Rule:
+    name: str
+    l: Morphism
+    r: Morphism
+
+    def validate(self) -> None:
+        if self.l.dom != self.r.dom:
+            raise DpoError(f"rule {self.name}: the two legs have different interfaces")
+        self.l.validate()
+        self.r.validate()
+        mono = classify_monicity(self.l)
+        if not mono["monic"]:
+            raise DpoError(f"rule {self.name}: left leg must be monic")
+        if self.l.dom.sig.has_simple and not mono["regularMonic"]:
+            raise DpoError(
+                f"rule {self.name}: left leg must be regular monic because the "
+                f"signature has simple sorts (add the reflected elements to the "
+                f"interface)"
+            )
+
+    @property
+    def interface(self) -> CGraph:
+        return self.l.dom
+
+    @property
+    def left(self) -> CGraph:
+        return self.l.cod
+
+    @property
+    def right(self) -> CGraph:
+        return self.r.cod
 
 
 @dataclass
@@ -271,31 +326,6 @@ def _print_map(dom: CGraph, cod: CGraph, mor: Morphism) -> str:
         for i in range(dom.n(s)):
             pairs.append(f"{dom.name_of(s, i)} -> {cod.name_of(s, mor.maps[s][i])}")
     return "{ " + ", ".join(pairs) + " }"
-
-
-def print_system(system: System) -> str:
-    out = ["signature", print_signature(system.sig), "end", ""]
-    names_by_graph: dict[int, str] = {}
-    for name, g in system.graphs.items():
-        names_by_graph.setdefault(id(g), name)
-        out += [f"graph {name}", print_graph_block(g), "end", ""]
-    for r in system.rules:
-        out.append(f"rule {r.name}")
-        for tag, g in (("L", r.left), ("K", r.interface), ("R", r.right)):
-            gname = names_by_graph.get(id(g))
-            if gname is None:
-                raise ValueError(f"rule {r.name}: {tag} graph is not a named graph")
-            out.append(f"  {tag} = {gname}")
-        out.append(f"  l = {_print_map(r.interface, r.left, r.l)}")
-        out.append(f"  r = {_print_map(r.interface, r.right, r.r)}")
-        out += ["end", ""]
-    out.append(f"framework {system.framework.match_class}")
-    if system.relative:
-        out.append("relative { " + " ".join(sorted(system.relative)) + " }")
-    if system.strategy:
-        out.append(f'strategy "{system.strategy}"')
-    out.append("")
-    return "\n".join(out)
 
 
 def system_hash(system: System) -> str:

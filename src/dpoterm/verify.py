@@ -12,11 +12,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .dpo import Framework, Rule, enumerate_matches, left_square, right_square
+from . import semiring as sr
+from .dpo import OrientedSquare, enumerate_matches, left_square, right_square
 from .graph import CGraph, validate_instance
-from .morphism import enumerate_homs
+from .morphism import Morphism, MorphismError, compose, enumerate_homs
 from .signature import IndexSignature
-from .wtg import WeightedTypeGraph, verify_decomposition
+from .sysfile import Framework, Rule
+from .wtg import WeightedTypeGraph, weight_of_morphism
 
 
 @dataclass
@@ -89,3 +91,21 @@ def verify_step_decompositions(
                             f"w={got['w']} bound={got['bound']}"
                         )
     return VerifyReport(checked, tuple(failures))
+
+
+def verify_decomposition(
+    wtg: WeightedTypeGraph, square: OrientedSquare, phi: Morphism
+) -> dict:
+    """Compare w(phi) against w(phi∘beta') ⊗ w(phi∘alpha' - (beta∘-)).
+
+    exact holds on weighable squares, upper on bounded-above ones; both
+    are reported so verified mode can flag a failed assumption.
+    """
+    if phi.dom != square.D:
+        raise MorphismError("verify_decomposition: phi must start at the pushout")
+    k = wtg.semiring
+    left = weight_of_morphism(wtg, compose(phi, square.beta_p))
+    right = weight_of_morphism(wtg, compose(phi, square.alpha_p), square.beta)
+    bound = sr.s_mul(k, left, right)
+    w = weight_of_morphism(wtg, phi)
+    return {"exact": w == bound, "upper": sr.s_le(k, w, bound), "w": w, "bound": bound}

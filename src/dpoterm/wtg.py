@@ -1,5 +1,6 @@
-"""Weighted type graphs: weighing morphisms and objects, rule
-classification, context closures and the pushout decomposition check.
+"""Weighted type graphs: weighing morphisms and objects, side-weight
+comparisons, context closures and the admissibility of weighted-element
+domains.
 
 A weighted element is a morphism from a representable shape into the
 type graph. Because those shapes are free on one generator (validate
@@ -10,23 +11,23 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
+from typing import Iterable, Optional
 
 import itertools
 
 from . import semiring as sr
-from .dpo import Framework, OrientedSquare, Rule
 from .graph import CGraph, ElementRef
 from .morphism import (
     Morphism,
     MorphismError,
-    compose,
+    classify_monicity,
     enumerate_homs,
     extensions,
     image_elements,
 )
 from .semiring import SemiringDescriptor, Weight
 from .signature import representable_shapes
+from .sysfile import Framework, Rule
 
 
 class WtgError(ValueError):
@@ -158,35 +159,6 @@ def side_comparisons(wtg: WeightedTypeGraph, rule: Rule):
         yield t_k, _weight_sum(wtg, ls), _weight_sum(wtg, rs), not ls and not rs
 
 
-def classify_rule(
-    wtg: WeightedTypeGraph, rule: Rule, closure: Optional[Morphism] = None
-) -> str:
-    """Strongest of none/weak/closureDecreasing/uniform that holds.
-
-    The closure (when given) is assumed valid for the rule's framework;
-    verify_context_closure is the separate check. closureDecreasing is
-    only available over a strictly monotonic semiring.
-    """
-    k = wtg.semiring
-    weak = True
-    uniform_cmp = True
-    strict_at_closure = False
-    t_kc = compose(closure, rule.l).maps if closure is not None else None
-    for t_k, wl, wr, empty in side_comparisons(wtg, rule):
-        if not sr.s_le(k, wr, wl):
-            weak = False
-        strict = sr.s_lt(k, wr, wl)
-        if not (strict or empty):
-            uniform_cmp = False
-        if t_k.maps == t_kc and strict:
-            strict_at_closure = True
-    if uniform_cmp and closure is not None:
-        return "uniform"
-    if weak and closure is not None and k.strictly_monotonic and strict_at_closure:
-        return "closureDecreasing"
-    return "weak" if weak else "none"
-
-
 def flower_bases(T: CGraph):
     """Every choice of one base element per (base sort, label), as a
     dict (sort, label) -> element id."""
@@ -279,24 +251,6 @@ def verify_context_closure(c: Morphism, rule: Rule, fw: Framework) -> bool:
     return False
 
 
-def verify_decomposition(
-    wtg: WeightedTypeGraph, square: OrientedSquare, phi: Morphism
-) -> dict:
-    """Compare w(phi) against w(phi∘beta') ⊗ w(phi∘alpha' - (beta∘-)).
-
-    exact holds on weighable squares, upper on bounded-above ones; both
-    are reported so verified mode can flag a failed assumption.
-    """
-    if phi.dom != square.D:
-        raise MorphismError("verify_decomposition: phi must start at the pushout")
-    k = wtg.semiring
-    left = weight_of_morphism(wtg, compose(phi, square.beta_p))
-    right = weight_of_morphism(wtg, compose(phi, square.alpha_p), square.beta)
-    bound = sr.s_mul(k, left, right)
-    w = weight_of_morphism(wtg, phi)
-    return {"exact": w == bound, "upper": sr.s_le(k, w, bound), "w": w, "bound": bound}
-
-
 def detect_collapse_epi(rule: Rule) -> bool:
     """True when some epimorphism e: R -> L satisfies e∘r = l; such
     rules cannot strictly decrease over the arithmetic or arctic
@@ -306,3 +260,45 @@ def detect_collapse_epi(rule: Rule) -> bool:
         if all(set(e.maps[s]) == set(range(L.n(s))) for s in range(len(L.sig.objects))):
             return True
     return False
+
+
+def check_rule_admissibility(
+    rule: Rule, fw: Framework, element_domains: Iterable[tuple[CGraph, ElementRef]]
+) -> dict:
+    """Static weighability check for the rule's left squares and
+    boundedness for its right squares, for the given weighted-element
+    domains (representable shapes).
+
+    Right squares are always bounded above: representable shapes trace
+    along every pushout. Left squares need (a) strong traceability,
+    granted by the (regular) monic left leg, (b) matches monic for every
+    domain shape, automatic except under unrestricted matching where the
+    static condition is that at most one morphism from the shape factors
+    through l, and (c) l' monic for the shapes outside u, which holds
+    for representable domains.
+    """
+    diagnostics: list[str] = []
+    left_ok = True
+    mono = classify_monicity(rule.l)
+    if not mono["monic"]:
+        left_ok = False
+        diagnostics.append("left leg is not monic (no strong traceability)")
+    elif rule.left.sig.has_simple and not mono["regularMonic"]:
+        left_ok = False
+        diagnostics.append(
+            "left leg is not regular monic on a simple signature "
+            "(no strong traceability)"
+        )
+    if fw.match_class == "unrestricted":
+        K = rule.interface
+        for shape, gen in element_domains:
+            s, lab = gen.sort, shape.labels[gen.sort][gen.id]
+            n = sum(1 for i in range(K.n(s)) if K.labels[s][i] == lab)
+            if n > 1:
+                left_ok = False
+                diagnostics.append(
+                    f"unrestricted matches may merge the {n} interface elements "
+                    f"of shape {K.sig.objects[s].name}"
+                    + (f"[{lab}]" if lab else "")
+                )
+    return {"leftWeighable": left_ok, "rightBounded": True, "diagnostics": diagnostics}

@@ -14,16 +14,11 @@ from pathlib import Path
 import pytest
 
 from dpoterm import semiring as sr
-from dpoterm.certificate import (
-    Certificate,
-    RuleEntry,
-    check_certificate,
-    step_wtg,
-    write_certificate,
-)
+from dpoterm.certificate import write_certificate
+from dpoterm.checker import Certificate, RuleEntry, check_certificate, step_wtg
 from dpoterm.dpo import OrientedSquare, enumerate_matches, pushout
 from dpoterm.graph import CGraph
-from dpoterm.morphism import Morphism, compose, enumerate_homs, is_x_monic
+from dpoterm.morphism import Morphism, compose, enumerate_homs
 from dpoterm.prover import SearchBudget, search_wtg
 from dpoterm.semiring import ARCTIC, ARITHMETIC, NEG_INF, POS_INF, SEMIRINGS, TROPICAL
 from dpoterm.signature import representable_shapes
@@ -40,6 +35,7 @@ from dpoterm.wtg import (
 
 import worked_examples as ex
 from conftest import graph, named_map, random_host_containing
+from oracles import is_x_monic
 
 SYSTEMS = Path(__file__).resolve().parent.parent / "systems"
 

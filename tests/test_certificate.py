@@ -1,20 +1,16 @@
 from __future__ import annotations
 
+import json
+import os
+import subprocess
 import sys
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from dpoterm.certificate import (
-    Certificate,
-    CertStep,
-    RuleEntry,
-    certificate_to_json,
-    check_certificate,
-    read_certificate,
-    write_certificate,
-)
+from dpoterm.certificate import certificate_to_json, read_certificate, write_certificate
+from dpoterm.checker import Certificate, CertStep, RuleEntry, check_certificate
 import dpoterm.graph
 from dpoterm.prover import DEFAULT_STRATEGY, run_strategy
 from dpoterm.sysfile import parse_system_file, print_graph_block, system_hash
@@ -57,8 +53,8 @@ def test_json_roundtrip(proved):
 def _reconf_published_cert(system):
     """The published reconfiguration proof as a certificate."""
     ru, fw, wtg, closure = ex.reconfiguration()
-    T = wtg.T.with_names(
-        [["n0", "n1", "n2"], ["e01", "e10", "l0", "l1", "e12", "e21"]]
+    T = replace(
+        wtg.T, names=(("n0", "n1", "n2"), ("e01", "e10", "l0", "l1", "e12", "e21"))
     )
     step = CertStep(
         "arithmetic",
@@ -202,3 +198,35 @@ def test_prove_and_check_never_call_canonical_key(searched, monkeypatch):
         assert check_certificate(system, cert).accepted
     system = load("loop_unfolding")
     assert run_strategy(system, DEFAULT_STRATEGY).certificate.verdict == "terminating"
+
+
+TRUSTED_BASE = {
+    "dpoterm",
+    "dpoterm.checker",
+    "dpoterm.graph",
+    "dpoterm.morphism",
+    "dpoterm.semiring",
+    "dpoterm.signature",
+    "dpoterm.sysfile",
+    "dpoterm.wtg",
+}
+
+
+def test_checker_imports_only_the_trusted_base():
+    """The checker's import closure is what acceptance depends on: the
+    system model and parser, graphs, morphisms, semirings, weighing and
+    the replay; not the prover, the pushouts or the certificate readers."""
+    src = Path(dpoterm.graph.__file__).resolve().parent.parent
+    code = (
+        "import json, sys, dpoterm.checker\n"
+        "print(json.dumps({m: sys.modules[m].__file__ for m in sys.modules"
+        " if m.split('.')[0] == 'dpoterm'}))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    loaded = json.loads(out.stdout)
+    assert set(loaded) == TRUSTED_BASE
+    lines = sum(len(Path(f).read_text().splitlines()) for f in loaded.values())
+    assert lines <= 1800, f"the checker's import closure has {lines} lines"

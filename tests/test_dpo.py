@@ -4,24 +4,16 @@ from typing import Optional
 
 import pytest
 
-from dpoterm.dpo import (
-    DpoError,
-    MONIC,
-    REGULAR_MONIC,
-    Rule,
-    UNRESTRICTED,
-    check_rule_admissibility,
-    enumerate_matches,
-    pullback,
-    pushout,
-    pushout_complement,
-)
+from dpoterm.dpo import enumerate_matches, pushout, pushout_complement
 from dpoterm.graph import CGraph, canonical_key
 from dpoterm.morphism import Morphism, compose, enumerate_homs, identity
 from dpoterm.signature import parse_signature, representable_shapes
+from dpoterm.sysfile import MONIC, UNRESTRICTED, DpoError, Rule
 from dpoterm.verify import random_instance
+from dpoterm.wtg import check_rule_admissibility
 
 from conftest import GRAPH_SIG, LABELLED_SIG, graph, named_map
+from oracles import factor_through, pullback
 
 SIMPLE_LAB_SIG = parse_signature("V edge[x](V,V)!")
 
@@ -187,8 +179,6 @@ def test_traceability_of_representables_along_pushouts(sig, rng):
         d, in_b, in_c = pushout(fs[0], gs[0])
         for shape, _ in shapes:
             for f in enumerate_homs(shape, d):
-                from dpoterm.morphism import factor_through
-
                 assert factor_through(f, in_b) or factor_through(f, in_c)
 
 

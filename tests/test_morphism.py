@@ -8,16 +8,14 @@ from dpoterm.morphism import (
     MorphismError,
     classify_monicity,
     compose,
-    count_triangles,
     enumerate_homs,
-    factor_through,
     identity,
-    is_x_monic,
 )
 from dpoterm.signature import parse_signature, representable_shapes
 from dpoterm.verify import random_instance
 
 from conftest import GRAPH_SIG, LABELLED_SIG, SIMPLE_SIG, graph, named_map
+from oracles import factor_through, is_x_monic
 
 
 def test_enumerate_point_into_two_nodes():
@@ -165,33 +163,3 @@ def test_factor_through_collapse():
     pt = graph(GRAPH_SIG, ["p"])
     x = named_map(pt, one, {"p": "z"})
     assert len(factor_through(x, u)) == 2
-
-
-def test_count_triangles_contains_identity():
-    shape, gen = representable_shapes(GRAPH_SIG)[1]
-    e = identity(shape)
-    assert count_triangles(e, e) >= 1
-
-
-def test_count_triangles_merged_nodes():
-    # both nodes of a discrete pair onto one target element: two triangles
-    two = graph(GRAPH_SIG, ["x", "y"])
-    one = graph(GRAPH_SIG, ["z"])
-    phi = named_map(two, one, {"x": "z", "y": "z"})
-    pt = graph(GRAPH_SIG, ["p"])
-    e = named_map(pt, one, {"p": "z"})
-    assert count_triangles(e, phi) == 2
-
-
-def test_count_triangles_cross_check(rng):
-    for _ in range(15):
-        g = random_instance(GRAPH_SIG, rng, max_base=2, max_elems=3)
-        t = random_instance(GRAPH_SIG, rng, max_base=2, max_elems=3)
-        shape, _ = representable_shapes(GRAPH_SIG)[1]
-        phis = enumerate_homs(g, t)
-        es = enumerate_homs(shape, t)
-        if not (phis and es):
-            continue
-        phi, e = phis[0], es[0]
-        brute = sum(1 for a in enumerate_homs(shape, g) if compose(phi, a) == e)
-        assert count_triangles(e, phi) == brute

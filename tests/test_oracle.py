@@ -18,7 +18,6 @@ from pathlib import Path
 from typing import Optional
 
 from dpoterm import semiring as sr
-from dpoterm.dpo import check_rule_admissibility
 from dpoterm.graph import CGraph, complete_type_graph
 from dpoterm.morphism import compose, enumerate_homs
 from dpoterm.prover import SearchBudget, search_wtg
@@ -27,6 +26,7 @@ from dpoterm.signature import representable_shapes
 from dpoterm.sysfile import parse_system_file
 from dpoterm.wtg import (
     WeightedTypeGraph,
+    check_rule_admissibility,
     element_at,
     side_homs,
     verify_context_closure,

@@ -6,12 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from dpoterm.certificate import (
-    Certificate,
-    certificate_to_json,
-    check_certificate,
-    write_certificate,
-)
+from dpoterm.certificate import certificate_to_json, write_certificate
+from dpoterm.checker import Certificate, check_certificate
 from dpoterm.prover import (
     ABSENT,
     Basic,

@@ -2,11 +2,13 @@
 graphs, rebuilt as in-memory objects for the value-level tests."""
 from __future__ import annotations
 
-from dpoterm.dpo import MONIC, REGULAR_MONIC, UNRESTRICTED, Rule
+from dataclasses import replace
+
 from dpoterm.graph import CGraph
 from dpoterm.morphism import Morphism
 from dpoterm.semiring import ARITHMETIC, TROPICAL
 from dpoterm.signature import parse_signature
+from dpoterm.sysfile import MONIC, REGULAR_MONIC, UNRESTRICTED, Rule
 from dpoterm.wtg import WeightedTypeGraph, element_at
 
 from conftest import graph, named_map
@@ -350,7 +352,7 @@ def limitations_wtg():
 
 
 def _cert(system, steps, verdict, remaining=()):
-    from dpoterm.certificate import Certificate
+    from dpoterm.checker import Certificate
     from dpoterm.sysfile import system_hash
 
     return Certificate(system_hash(system), tuple(steps), verdict, tuple(remaining))
@@ -359,7 +361,7 @@ def _cert(system, steps, verdict, remaining=()):
 def published_certificate(name, system):
     """The worked proof of each regression system, hand-encoded so the
     independent checker replays exactly the published comparisons."""
-    from dpoterm.certificate import CertStep, RuleEntry
+    from dpoterm.checker import CertStep, RuleEntry
 
     if name == "loop_unfolding":
         T = graph(
@@ -493,8 +495,8 @@ def published_certificate(name, system):
 
     if name == "tree_counter":
         T1, _ = tree_t1()
-        T1 = T1.with_names(
-            [["p", "q"], ["p0", "p1", "pc", "qp0", "qp1", "q0", "q1", "qc"]]
+        T1 = replace(
+            T1, names=(("p", "q"), ("p0", "p1", "pc", "qp0", "qp1", "q0", "q1", "qc"))
         )
         step1 = CertStep(
             "arithmetic",
@@ -515,7 +517,7 @@ def published_certificate(name, system):
             ("r1", "r2"),
         )
         T2, _ = tree_t2()
-        T2 = T2.with_names([["q"], ["l0", "l1", "lc"]])
+        T2 = replace(T2, names=(("q",), ("l0", "l1", "lc")))
 
         def tree_closure(top, left, right):
             return (
