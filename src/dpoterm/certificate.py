@@ -45,7 +45,7 @@ def write_certificate(cert: Certificate) -> str:
         out.append("step")
         out.append(f"  semiring {step.semiring_kind}")
         out.append("  typegraph")
-        out.append(print_graph_block(step.type_graph, indent="    "))
+        out.append(print_graph_block(step.type_graph))
         out.append("  end")
         for sort, name, w in step.elements:
             lab = _element_label(step.type_graph, sort, name)

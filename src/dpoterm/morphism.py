@@ -49,10 +49,6 @@ class Morphism:
                         )
 
 
-def identity(g: CGraph) -> Morphism:
-    return Morphism(g, g, tuple(tuple(range(g.n(s))) for s in range(len(g.sig.objects))))
-
-
 def compose(f: Morphism, g: Morphism) -> Morphism:
     """f after g."""
     if g.cod != f.dom:

@@ -8,7 +8,7 @@ enumerated once up front; a masked assignment only filters them, which
 keeps the inner loop free of graph algorithms.
 
 Assignments are explored depth first inside growing cost tiers
-(weights cost their magnitude, absence is free), so sparse low-weight
+(a weight w costs w − one, absence is free), so sparse low-weight
 certificates are found quickly while exhaustion stays complete. An
 undecided weight is bounded by the heaviest weight its tier still
 affords. Within the successful tier the search then maximizes the number
@@ -42,8 +42,9 @@ DEFAULT_STRATEGY = (
 )
 
 ABSENT = -1
-# _Problem lists all 2**bits weights per element before any deadline is
-# checked, so a larger bits exhausts memory instead of timing out
+# a DFS node tries all 2**bits weights between two reads of the clock, and
+# _Problem lists them before the first one, so a larger bits would overrun
+# the timeout or exhaust memory instead of stopping on time
 MAX_BITS = 12
 
 
@@ -225,16 +226,13 @@ class _Problem:
             self.offset[s] = acc
             acc += T.n(s)
         self.nvars = acc
-        # bit positions for maskable (non-base) elements
-        self.bitpos = [-1] * acc
-        bits_used = 0
-        for s in range(ns):
-            if sig.is_base(s):
-                continue
-            for i in range(T.n(s)):
-                self.bitpos[self.offset[s] + i] = bits_used
-                bits_used += 1
-        self.nbits = bits_used
+        # bit g of a support, absent or undecided mask is element g; base
+        # elements are never absent, so their bit is 0
+        self.bit = [
+            0 if sig.is_base(s) else 1 << (self.offset[s] + i)
+            for s in range(ns)
+            for i in range(T.n(s))
+        ]
 
         shapes = representable_shapes(sig)
         self.admissible: dict[tuple[int, Optional[str]], bool] = {}
@@ -249,25 +247,19 @@ class _Problem:
         neutral = sr.one(kind)
         weights = list(sr.legal_weight_values(kind, bits))
         self.neutral = neutral
+        # one shared domain per (admissible, base) pair
+        domains = {
+            (adm, base): (weights if adm else [neutral]) + ([] if base else [ABSENT])
+            for adm in (False, True)
+            for base in (False, True)
+        }
         self.domain: list[list[int]] = []
-        self.cost: list[dict[int, int]] = []
         self.wmax: list[int] = []
         for s in range(ns):
-            for i in range(T.n(s)):
-                adm = self.admissible.get((s, T.labels[s][i]), False)
-                vals = list(weights) if adm else [neutral]
-                self.wmax.append(max(vals))
-                if not sig.is_base(s):
-                    vals = vals + [ABSENT]
-                self.domain.append(vals)
-                self.cost.append(
-                    {
-                        v: 0
-                        if v == ABSENT
-                        else (v - 1 if kind.kind == "arithmetic" else v)
-                        for v in vals
-                    }
-                )
+            for lab in T.labels[s]:
+                adm = self.admissible[(s, lab)]
+                self.domain.append(domains[adm, sig.is_base(s)])
+                self.wmax.append(weights[-1] if adm else neutral)
 
         self._build_constraints()
         self._build_candidates()
@@ -290,9 +282,10 @@ class _Problem:
         branchable = [v for v in range(self.nvars) if len(self.domain[v]) > 1]
         # exactly the non-base elements have a mask bit
         self.var_order = sorted(
-            branchable, key=lambda v: (self.bitpos[v] >= 0, -occurrence[v], v)
+            branchable, key=lambda v: (self.bit[v] != 0, -occurrence[v], v)
         )
-        self.max_cost = sum(max(self.cost[v].values()) for v in branchable)
+        # a weight w costs w - one and absence is free
+        self.max_cost = sum(self.wmax[v] - neutral for v in branchable)
 
     def _build_symmetry(self):
         """One gid permutation per adjacent transposition of base
@@ -330,12 +323,12 @@ class _Problem:
                         perm[self.offset[t] + j] = self.offset[t] + elem_map[t][j]
                 self.sym_perms.append(tuple(perm))
 
-    def _mask_gids(self, mask: int):
+    @staticmethod
+    def _mask_gids(mask: int):
         out = []
         while mask:
             low = mask & -mask
-            b = low.bit_length() - 1
-            out.append(self._bit_to_gid[b])
+            out.append(low.bit_length() - 1)
             mask ^= low
         return out
 
@@ -343,17 +336,11 @@ class _Problem:
         m = 0
         for s in range(len(self.sig.objects)):
             for j in mor.maps[s]:
-                b = self.bitpos[self.offset[s] + j]
-                if b >= 0:
-                    m |= 1 << b
+                m |= self.bit[self.offset[s] + j]
         return m
 
     def _build_constraints(self):
         sig, T = self.sig, self.T
-        self._bit_to_gid = [0] * self.nbits
-        for g in range(self.nvars):
-            if self.bitpos[g] >= 0:
-                self._bit_to_gid[self.bitpos[g]] = g
         # constraint: (rule_idx, tk_support, L_terms, R_terms) with
         # term = (support, factors, k): factors lists each weighed gid once
         # per element mapped onto it, and k counts the homs that gave this
@@ -372,7 +359,7 @@ class _Problem:
                         for s in range(len(sig.objects)):
                             lab_row = side.cod.labels[s]
                             for i, j in enumerate(t_y.maps[s]):
-                                if self.admissible.get((s, lab_row[i]), False):
+                                if self.admissible[(s, lab_row[i])]:
                                     factors.append(self.offset[s] + j)
                         term = (self._image_mask(t_y), tuple(sorted(factors)))
                         homs[term] = homs.get(term, 0) + 1
@@ -405,9 +392,7 @@ class _Problem:
                         continue
                     req = 0
                     for s, i in sat:
-                        b = self.bitpos[self.offset[s] + i]
-                        if b >= 0:
-                            req |= 1 << b
+                        req |= self.bit[self.offset[s] + i]
                     if best_req is None or bin(req).count("1") < bin(best_req).count("1"):
                         best_req = req
                 if best_req is None:
@@ -451,9 +436,8 @@ class _Search:
         self.absent_mask = 0
         self.undecided_mask = 0
         for g in range(problem.nvars):
-            b = problem.bitpos[g]
-            if b >= 0 and self.val[g] is None:
-                self.undecided_mask |= 1 << b
+            if self.val[g] is None:
+                self.undecided_mask |= problem.bit[g]
         # Weight bounds, read by the evaluators: hi bounds L sides above
         # and lo bounds R sides below, with lo == hi for a decided weight.
         # An undecided weight lies between the semiring's one and the
@@ -759,12 +743,11 @@ class _Search:
                 self.found = (got[0], got[1], list(self.val))
             return
         v = p.var_order[depth]
-        bit = p.bitpos[v]
+        bit = p.bit[v]
         if not self._relevant(v):
-            values = (ABSENT,) if bit >= 0 else (p.neutral,)
+            values = (ABSENT,) if bit else (p.neutral,)
         else:
             values = p.domain[v]
-        costs = p.cost[v]
         neutral = p.neutral
         wv = p.wmax[v]
         # a weight w costs w - one, so under a value costing extra no leaf
@@ -777,7 +760,7 @@ class _Search:
         weak0 = self.weak_blocked[:]
         uniform0 = self.uniform_blocked[:]
         for value in values:
-            extra = costs[value]
+            extra = 0 if value == ABSENT else value - neutral
             if cost + extra > tier:
                 continue
             self.val[v] = lo[v] = hi[v] = value
@@ -785,10 +768,9 @@ class _Search:
             applied = self.cap
             if cap != applied and (cap < deep or applied < deep):
                 self._recap(depth + 1, cap)
-            if bit >= 0:
-                self.undecided_mask &= ~(1 << bit)
-                if value == ABSENT:
-                    self.absent_mask |= 1 << bit
+            self.undecided_mask &= ~bit
+            if value == ABSENT:
+                self.absent_mask |= bit
             if self._sym_ok():
                 # A definitely active constraint that is not weakly
                 # decreasing decides the prune on its own: it is also
@@ -821,10 +803,9 @@ class _Search:
             lo[v] = neutral
             applied = self.cap
             hi[v] = wv if wv < applied else applied
-            if bit >= 0:
-                self.undecided_mask |= 1 << bit
-                if value == ABSENT:
-                    self.absent_mask &= ~(1 << bit)
+            self.undecided_mask |= bit
+            if value == ABSENT:
+                self.absent_mask &= ~bit
             if self.found is not None:
                 return
 

@@ -212,6 +212,9 @@ def parse_system_file(text: str) -> System:
         text_i, lineno = lines[i]
         head = text_i.split()
         if head[0] == "signature":
+            # graphs parsed under another signature would not compose
+            if sig is not None:
+                raise SystemParseError("repeated signature block", lineno)
             body, i = block(i + 1)
             try:
                 sig = parse_signature("\n".join(t for t, _ in body))
@@ -260,6 +263,8 @@ def parse_system_file(text: str) -> System:
                 raise SystemParseError(f"duplicate rule {rule.name!r}", lineno)
             rules.append(rule)
         elif head[0] == "framework":
+            if framework is not None:
+                raise SystemParseError("repeated framework line", lineno)
             if len(head) != 2 or head[1] not in MATCH_CLASSES:
                 raise SystemParseError(
                     f"framework must be one of {', '.join(MATCH_CLASSES)}", lineno
@@ -303,7 +308,7 @@ def print_signature(sig: IndexSignature) -> str:
     return "\n".join("  " + s for s in out)
 
 
-def print_graph_block(g: CGraph, indent: str = "  ") -> str:
+def print_graph_block(g: CGraph) -> str:
     sig = g.sig
     out = []
     for s in range(len(sig.objects)):
@@ -316,7 +321,7 @@ def print_graph_block(g: CGraph, indent: str = "  ") -> str:
                 line += " (" + ", ".join(
                     g.name_of(t, a) for t, a in zip(targets, g.args[s][i])
                 ) + ")"
-            out.append(indent + line)
+            out.append("    " + line)
     return "\n".join(out)
 
 
@@ -340,7 +345,7 @@ def system_hash(system: System) -> str:
     for r in sorted(system.rules, key=lambda r: r.name):
         out.append(f"rule {r.name}")
         for tag, g in (("L", r.left), ("K", r.interface), ("R", r.right)):
-            out += [f"  {tag} =", print_graph_block(g, "    "), "  end"]
+            out += [f"  {tag} =", print_graph_block(g), "  end"]
         out.append(f"  l = {_print_map(r.interface, r.left, r.l)}")
         out.append(f"  r = {_print_map(r.interface, r.right, r.r)}")
     return hashlib.sha256("\n".join(out).encode()).hexdigest()

@@ -146,10 +146,6 @@ def side_homs(
     return extensions(side, t_k)
 
 
-def side_weight(wtg: WeightedTypeGraph, side: Morphism, t_k: Morphism) -> Weight:
-    return _weight_sum(wtg, side_homs(wtg, side, t_k))
-
-
 def side_comparisons(wtg: WeightedTypeGraph, rule: Rule):
     """(t_K, w_L, w_R, both sides empty) for every t_K: K -> T, where
     w_L and w_R sum the weights of t_K's extensions along l and r."""

@@ -2,15 +2,32 @@
 
 Nothing on the prove or check path uses them: `is_x_monic` is the
 weighability condition on the legs of a pushout square, `factor_through`
-lists the factorizations it excludes, and `pullback` lets tests check
-that a pushout along a monomorphism is also a pullback.
+lists the factorizations it excludes, `pullback` lets tests check that a
+pushout along a monomorphism is also a pullback, `identity` is the
+identity morphism, and `side_weight` is the weight of a rule side at an
+interface assignment, which the prover and the checker only compare.
 """
 from __future__ import annotations
 
 from typing import Optional
 
+from dpoterm import semiring as sr
 from dpoterm.graph import CGraph
 from dpoterm.morphism import Morphism, MorphismError, compose, enumerate_homs
+from dpoterm.semiring import Weight
+from dpoterm.wtg import WeightedTypeGraph, side_homs, weight_of_morphism
+
+
+def identity(g: CGraph) -> Morphism:
+    return Morphism(g, g, tuple(tuple(range(g.n(s))) for s in range(len(g.sig.objects))))
+
+
+def side_weight(wtg: WeightedTypeGraph, side: Morphism, t_k: Morphism) -> Weight:
+    """The semiring sum of w(t_Y) over every t_Y: Y -> T with
+    t_Y ∘ side = t_K, for side: K -> Y."""
+    return sr.s_sum(
+        wtg.semiring, (weight_of_morphism(wtg, t_y) for t_y in side_homs(wtg, side, t_k))
+    )
 
 
 def is_x_monic(f: Morphism, X: CGraph, outside_of: Optional[Morphism] = None) -> bool:

@@ -1,0 +1,59 @@
+"""Library code that only tests reach does not belong in `src/`: every
+top-level function and class of the package must be named by package
+code outside its own definition or by the benchmark, which is only read
+here."""
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _code_names(node: ast.AST) -> set[str]:
+    """Names and attributes that node's code refers to."""
+    out = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            out.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            out.add(sub.attr)
+    return out
+
+
+def _bench_names() -> set[str]:
+    """What bench/ refers to in code, imports and string constants;
+    a string like "_Search.run" names each of its dotted parts, because
+    the tracer resolves its targets from strings."""
+    out = set()
+    for path in sorted((ROOT / "bench").glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        out |= _code_names(tree)
+        for sub in ast.walk(tree):
+            if isinstance(sub, ast.alias):
+                out.add(sub.name.split(".")[-1])
+            elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+                out.update(sub.value.split("."))
+    return out
+
+
+def test_every_library_definition_is_named_outside_itself():
+    # (module, index of the top-level statement, names its code uses)
+    statements = []
+    definitions = []
+    for path in sorted((ROOT / "src" / "dpoterm").glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        for i, stmt in enumerate(tree.body):
+            statements.append((path.name, i, _code_names(stmt)))
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                definitions.append((path.name, i, stmt.name))
+    bench = _bench_names()
+    unused = [
+        f"{module}: {name}"
+        for module, i, name in definitions
+        if name not in bench
+        and not any(
+            name in names for m, j, names in statements if (m, j) != (module, i)
+        )
+    ]
+    assert unused == [], "named by nothing in src/ outside itself nor in bench/"

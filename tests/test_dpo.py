@@ -6,14 +6,14 @@ import pytest
 
 from dpoterm.dpo import enumerate_matches, pushout, pushout_complement
 from dpoterm.graph import CGraph, canonical_key
-from dpoterm.morphism import Morphism, compose, enumerate_homs, identity
+from dpoterm.morphism import Morphism, compose, enumerate_homs
 from dpoterm.signature import parse_signature, representable_shapes
 from dpoterm.sysfile import MONIC, UNRESTRICTED, DpoError, Rule
 from dpoterm.verify import random_instance
 from dpoterm.wtg import check_rule_admissibility
 
 from conftest import GRAPH_SIG, LABELLED_SIG, graph, named_map
-from oracles import factor_through, pullback
+from oracles import factor_through, identity, pullback
 
 SIMPLE_LAB_SIG = parse_signature("V edge[x](V,V)!")
 

@@ -9,13 +9,12 @@ from dpoterm.morphism import (
     classify_monicity,
     compose,
     enumerate_homs,
-    identity,
 )
 from dpoterm.signature import parse_signature, representable_shapes
 from dpoterm.verify import random_instance
 
 from conftest import GRAPH_SIG, LABELLED_SIG, SIMPLE_SIG, graph, named_map
-from oracles import factor_through, is_x_monic
+from oracles import factor_through, identity, is_x_monic
 
 
 def test_enumerate_point_into_two_nodes():

@@ -163,9 +163,7 @@ def test_published_loop_unfolding_assignment_removes_unfold():
     for depth, v in enumerate(problem.var_order):
         value = 2 if v in loop_gids else 1
         search.val[v] = search.lo[v] = search.hi[v] = value
-        bit = problem.bitpos[v]
-        if bit >= 0:
-            search.undecided_mask &= ~(1 << bit)
+        search.undecided_mask &= ~problem.bit[v]
         for cid in search.var_cids[v]:
             search._set_state(cid, search._eval(cid))
     got = search._leaf(target=1)
@@ -419,11 +417,10 @@ def _assign(search, values, cap=None):
             search.hi[v] = p.wmax[v] if cap is None else min(p.wmax[v], cap)
         else:
             search.lo[v] = search.hi[v] = value
-        bit = p.bitpos[v]
-        if bit >= 0 and value is None:
-            search.undecided_mask |= 1 << bit
-        elif bit >= 0 and value == ABSENT:
-            search.absent_mask |= 1 << bit
+        if value is None:
+            search.undecided_mask |= p.bit[v]
+        elif value == ABSENT:
+            search.absent_mask |= p.bit[v]
     return [search._eval(cid) for cid in range(len(search.cons))]
 
 
@@ -492,7 +489,8 @@ def test_leaves_pass_the_checker_and_bounds_bracket_full_assignments():
                 budget = left
                 budget_rng.shuffle(undecided)
                 for v in undecided:
-                    costs = problem.cost[v]
+                    # a weight w costs w - one and absence is free
+                    costs = {x: 0 if x == ABSENT else x - problem.neutral for x in problem.domain[v]}
                     x = budget_rng.choice([x for x in problem.domain[v] if costs[x] <= budget])
                     completion[v] = x
                     budget -= costs[x]

@@ -235,3 +235,20 @@ def test_hash_ignores_what_the_checker_does_not_read(text):
 )
 def test_hash_covers_what_the_checker_reads(text):
     assert _hash(text) != _hash(HASHED)
+
+
+@pytest.mark.parametrize(
+    "text, line, what",
+    [
+        # graphs before and after a second signature would not compose
+        (MINIMAL.replace("rule keep", "signature\n  V\n  edge[a](V,V)\nend\n\nrule keep"), 13, "signature"),
+        (MINIMAL + "signature\n  V\nend\n", 22, "signature"),
+        (MINIMAL + "framework monic\n", 22, "framework"),
+        (MINIMAL + "framework unrestricted\n", 22, "framework"),
+    ],
+    ids=["signature-between-graphs-and-rules", "signature-at-end", "same-framework", "other-framework"],
+)
+def test_repeated_signature_or_framework_rejected(text, line, what):
+    with pytest.raises(SystemParseError, match=f"repeated {what}") as err:
+        parse_system_file(text)
+    assert err.value.line == line

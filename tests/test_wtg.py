@@ -19,7 +19,6 @@ from dpoterm.morphism import (
     Morphism,
     compose,
     enumerate_homs,
-    identity,
 )
 from dpoterm.semiring import ARITHMETIC, POS_INF, TROPICAL
 from dpoterm.signature import parse_signature, representable_shapes
@@ -32,7 +31,6 @@ from dpoterm.wtg import (
     detect_collapse_epi,
     element_at,
     side_homs,
-    side_weight,
     verify_context_closure,
     weight_of_morphism,
     weight_of_object,
@@ -40,7 +38,7 @@ from dpoterm.wtg import (
 
 import worked_examples as ex
 from conftest import GRAPH_SIG, graph, named_map
-from oracles import factor_through, is_x_monic
+from oracles import factor_through, identity, is_x_monic, side_weight
 
 
 def brute_weight_of_morphism(wtg, phi):
