@@ -18,6 +18,7 @@ from . import semiring as sr
 from .graph import CGraph, GraphError, validate_instance
 from .morphism import compose
 from .semiring import SEMIRINGS
+from .signature import representable_shapes
 from .sysfile import Rule, System, SystemParseError, _names_to_morphism, system_hash
 from .wtg import (
     WeightedTypeGraph,
@@ -88,18 +89,19 @@ def step_wtg(step: CertStep) -> WeightedTypeGraph:
     except GraphError as e:
         raise CertificateError(f"invalid type graph: {e}") from None
     ids = _element_ids(T)
+    shapes = representable_shapes(T.sig)
     elements = []
     for sort, name, w in step.elements:
         if (sort, name) not in ids:
             raise CertificateError("weighted element names an unknown element")
         s, i = ids[(sort, name)]
         try:
-            elements.append(element_at(T, sort, T.labels[s][i], i, w))
+            elements.append(element_at(T, sort, T.labels[s][i], i, w, shapes))
         except ValueError as e:
             raise CertificateError(f"bad weighted element: {e}") from None
     wtg = WeightedTypeGraph(T, tuple(elements), SEMIRINGS[step.semiring_kind])
     try:
-        wtg.validate()
+        wtg.validate(shapes)
     except ValueError as e:
         raise CertificateError(str(e)) from None
     return wtg

@@ -3,7 +3,8 @@
 A morphism is a sort-indexed total map commuting with every argument
 arrow and preserving labels. Enumeration backtracks over sorts in
 topological order (argument targets first), so non-base elements have
-their candidate images fully determined by an index lookup.
+their candidate images fully determined by an index lookup, made as
+soon as their last argument is placed.
 """
 from __future__ import annotations
 
@@ -78,6 +79,19 @@ def extensions(side: Morphism, t: Morphism) -> list[Morphism]:
     return enumerate_homs(side.cod, t.cod, constraint=constraint)
 
 
+def extensions_by_restriction(side: Morphism, H: CGraph) -> dict[tuple, list[Morphism]]:
+    """Every h: cod(side) -> H, grouped by (h∘side).maps. Each group is
+    extensions(side, t) for the t with those maps, in the same order:
+    both are the homs of one DFS that pass a filter."""
+    groups: dict[tuple, list[Morphism]] = {}
+    for h in enumerate_homs(side.cod, H):
+        key = tuple(
+            tuple(h.maps[s][y] for y in row) for s, row in enumerate(side.maps)
+        )
+        groups.setdefault(key, []).append(h)
+    return groups
+
+
 def enumerate_homs(
     G: CGraph,
     H: CGraph,
@@ -88,6 +102,11 @@ def enumerate_homs(
 
     constraint pins chosen elements: (sort, dom id) -> cod id.
     mono_only keeps only the per-sort injective ones.
+
+    The DFS places G's elements in topological sort order, each over its
+    candidates in H's id order. A non-base element is looked up as soon
+    as its last argument is placed, and the branch is dropped when the
+    element has no image there (or not its pinned one).
     """
     sig = G.sig
     if H.sig != sig:
@@ -99,41 +118,71 @@ def enumerate_homs(
             if G.labels[s][i] != H.labels[s][j]:
                 return []
 
-    order = [s for s in sig.topo_order]
-    maps: list[list[int]] = [[-1] * G.n(s) for s in range(len(sig.objects))]
+    index = H.tuple_index
+    # the slot plan: (sort, argument slots, label, pin) per element of
+    # G, sorts in topological order, ids ascending within a sort
+    plan: list[tuple[int, tuple[int, ...], Optional[str], Optional[int]]] = []
+    first = [0] * len(sig.objects)
+    for s in sig.topo_order:
+        first[s] = len(plan)
+        targets = sig.arg_sorts(s)
+        for i in range(G.n(s)):
+            pin = constraint.get((s, i)) if constraint else None
+            arg_slots = tuple(first[t] + a for t, a in zip(targets, G.args[s][i]))
+            plan.append((s, arg_slots, G.labels[s][i], pin))
+    n = len(plan)
+    img = [-1] * n
+
+    def lookup(k: int) -> tuple[int, ...]:
+        """Slot k's candidates, once its arguments are placed."""
+        s, arg_slots, lab, pin = plan[k]
+        tup = tuple(img[a] for a in arg_slots)
+        if pin is not None:
+            return (pin,) if H.args[s][pin] == tup else ()
+        return index.get((s, tup, lab), ())
+
+    # cands[k] is fixed up front for a base slot, and for a non-base
+    # slot whenever its last argument slot is placed (ready)
+    cands: list[tuple[int, ...]] = [()] * n
+    ready: list[list[int]] = [[] for _ in range(n)]
+    for k, (_, arg_slots, _, _) in enumerate(plan):
+        if arg_slots:
+            ready[max(arg_slots)].append(k)
+        else:
+            cands[k] = lookup(k)
+            if not cands[k]:
+                return []
+
     used: list[set[int]] = [set() for _ in sig.objects]
     out: list[Morphism] = []
 
-    slots = [(s, i) for s in order for i in range(G.n(s))]
-
-    def candidates(s: int, i: int) -> tuple[int, ...]:
-        if sig.is_base(s):
-            lab = G.labels[s][i]
-            return H.tuple_index.get((s, (), lab), ())
-        targets = sig.arg_sorts(s)
-        tup = tuple(maps[t][a] for t, a in zip(targets, G.args[s][i]))
-        return H.tuple_index.get((s, tup, G.labels[s][i]), ())
+    def look_ahead(k: int) -> bool:
+        """Fix the candidates of the slots that are ready once slot k is
+        placed; False when one of them has none."""
+        for m in ready[k]:
+            cands[m] = lookup(m)
+            if not cands[m]:
+                return False
+        return True
 
     def extend(k: int) -> None:
-        if k == len(slots):
-            out.append(
-                Morphism(G, H, tuple(tuple(m) for m in maps))
+        if k == n:
+            maps = tuple(
+                tuple(img[first[s] : first[s] + G.n(s)]) for s in range(len(sig.objects))
             )
+            out.append(Morphism(G, H, maps))
             return
-        s, i = slots[k]
-        pinned = constraint.get((s, i)) if constraint else None
-        for j in candidates(s, i):
-            if pinned is not None and j != pinned:
-                continue
+        s = plan[k][0]
+        for j in cands[k]:
             if mono_only and j in used[s]:
                 continue
-            maps[s][i] = j
-            if mono_only:
-                used[s].add(j)
-            extend(k + 1)
-            if mono_only:
-                used[s].discard(j)
-            maps[s][i] = -1
+            img[k] = j
+            if look_ahead(k):
+                if mono_only:
+                    used[s].add(j)
+                extend(k + 1)
+                if mono_only:
+                    used[s].discard(j)
 
     extend(0)
     return out

@@ -24,7 +24,13 @@ from typing import Optional
 from . import semiring as sr
 from .checker import Certificate, CertStep, RuleEntry
 from .graph import CGraph, complete_type_graph
-from .morphism import Morphism, compose, enumerate_homs, extensions, image_elements
+from .morphism import (
+    Morphism,
+    compose,
+    enumerate_homs,
+    extensions_by_restriction,
+    image_elements,
+)
 from .semiring import SEMIRINGS, SemiringDescriptor
 from .signature import IndexSignature, representable_shapes
 from .sysfile import Framework, System, system_hash
@@ -349,12 +355,15 @@ class _Problem:
         self.tk_index: list[dict[tuple, int]] = []
         for ri, rule in enumerate(self.rules):
             index = {}
+            sides = [
+                (side, extensions_by_restriction(side, T)) for side in (rule.l, rule.r)
+            ]
             for t_k in enumerate_homs(rule.interface, T):
                 tk_sup = self._image_mask(t_k)
                 terms_by_side = []
-                for side in (rule.l, rule.r):
+                for side, groups in sides:
                     homs: dict[tuple, int] = {}
-                    for t_y in extensions(side, t_k):
+                    for t_y in groups.get(t_k.maps, ()):
                         factors = []
                         for s in range(len(sig.objects)):
                             lab_row = side.cod.labels[s]

@@ -73,17 +73,6 @@ def s_mul(k: SemiringDescriptor, a: Weight, b: Weight) -> Weight:
     return a + b
 
 
-def s_pow(k: SemiringDescriptor, a: Weight, n: int) -> Weight:
-    _check(k, a)
-    if n < 0:
-        raise SemiringError("negative exponent")
-    if n == 0:
-        return one(k)
-    if k.kind == "arithmetic":
-        return a**n
-    return a * n
-
-
 def s_cmp(k: SemiringDescriptor, a: Weight, b: Weight) -> int:
     """-1, 0 or 1; the order is total for all three semirings."""
     _check(k, a, b)

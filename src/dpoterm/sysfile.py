@@ -195,6 +195,7 @@ def parse_system_file(text: str) -> System:
     rules: list[Rule] = []
     framework: Optional[Framework] = None
     relative: frozenset[str] = frozenset()
+    relative_line = 0  # the line of the relative directive, 0 before it
     strategy: Optional[str] = None
 
     i = 0
@@ -272,10 +273,15 @@ def parse_system_file(text: str) -> System:
             framework = Framework(head[1])
             i += 1
         elif head[0] == "relative":
+            if relative_line:
+                raise SystemParseError("repeated relative line", lineno)
+            relative_line = lineno
             names = re.findall(r"[\w'-]+", text_i[len("relative"):].replace("{", " ").replace("}", " "))
             relative = frozenset(names)
             i += 1
         elif head[0] == "strategy":
+            if strategy is not None:
+                raise SystemParseError("repeated strategy line", lineno)
             m = re.match(r'strategy\s+"(.*)"\s*$', text_i)
             if not m:
                 raise SystemParseError('strategy must be quoted: strategy "..."', lineno)
@@ -288,9 +294,9 @@ def parse_system_file(text: str) -> System:
         raise SystemParseError("missing signature block", 1)
     if framework is None:
         raise SystemParseError("missing framework line", 1)
-    for name in relative:
+    for name in sorted(relative):
         if all(r.name != name for r in rules):
-            raise SystemParseError(f"relative names unknown rule {name!r}", 1)
+            raise SystemParseError(f"relative names unknown rule {name!r}", relative_line)
     return System(sig, graphs, tuple(rules), framework, relative, strategy)
 
 

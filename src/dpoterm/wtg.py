@@ -23,6 +23,7 @@ from .morphism import (
     classify_monicity,
     enumerate_homs,
     extensions,
+    extensions_by_restriction,
     image_elements,
 )
 from .semiring import SemiringDescriptor, Weight
@@ -49,13 +50,6 @@ class WeightedElement:
     def gen_label(self) -> Optional[str]:
         return self.shape.labels[self.gen.sort][self.gen.id]
 
-    @cached_property
-    def is_free(self) -> bool:
-        for shape, gen in representable_shapes(self.shape.sig):
-            if shape == self.shape and gen == self.gen:
-                return True
-        return False
-
 
 @dataclass(frozen=True)
 class WeightedTypeGraph:
@@ -63,7 +57,18 @@ class WeightedTypeGraph:
     elements: tuple[WeightedElement, ...]
     semiring: SemiringDescriptor
 
-    def validate(self) -> None:
+    @cached_property
+    def weight_table(self) -> dict[tuple[int, int, Optional[str]], list[Weight]]:
+        """(sort, type-graph id, label) -> the weights of the elements
+        whose generator lands on that element with that label."""
+        table: dict[tuple[int, int, Optional[str]], list[Weight]] = {}
+        for we in self.elements:
+            table.setdefault((we.gen.sort, we.target, we.gen_label), []).append(we.weight)
+        return table
+
+    def validate(self, shapes=None) -> None:
+        """shapes: representable_shapes(T.sig), when the caller has them."""
+        free = shapes if shapes is not None else representable_shapes(self.T.sig)
         for we in self.elements:
             we.e.validate()
             if we.e.cod != self.T:
@@ -74,7 +79,7 @@ class WeightedTypeGraph:
                 raise WtgError(
                     f"illegal weight {we.weight!r} for the {self.semiring.kind} semiring"
                 )
-            if not we.is_free:
+            if (we.shape, we.gen) not in free:
                 raise WtgError(
                     "weighted-element domains must be representable shapes; "
                     "got a non-representable graph"
@@ -82,13 +87,18 @@ class WeightedTypeGraph:
 
 
 def element_at(
-    T: CGraph, sort_name: str, label: Optional[str], target: int, weight: Weight
+    T: CGraph,
+    sort_name: str,
+    label: Optional[str],
+    target: int,
+    weight: Weight,
+    shapes=None,
 ) -> WeightedElement:
     """The weighted element whose shape generator lands on the given
-    type-graph element."""
+    type-graph element; shapes as in WeightedTypeGraph.validate."""
     sig = T.sig
     s = sig.sort(sort_name)
-    for shape, gen in representable_shapes(sig):
+    for shape, gen in shapes if shapes is not None else representable_shapes(sig):
         if gen.sort == s and shape.labels[s][gen.id] == label:
             homs = enumerate_homs(shape, T, constraint={(s, gen.id): target})
             if len(homs) != 1:
@@ -111,20 +121,18 @@ def weight_of_morphism(
         raise MorphismError("weight: exclusion morphism does not end in dom(phi)")
     G = phi.dom
     k = wtg.semiring
+    table = wtg.weight_table
     acc = sr.one(k)
-    for we in wtg.elements:
-        s = we.gen.sort
+    # each element y of G is one occurrence of every weighted element
+    # whose generator lands on phi(y) with y's label
+    for s in range(len(G.sig.objects)):
         # a free shape's occurrence factors through alpha iff its
         # generator's image lies in alpha's image
         excluded = set(exclude.maps[s]) if exclude is not None else ()
-        n = sum(
-            1
-            for y in range(G.n(s))
-            if G.labels[s][y] == we.gen_label
-            and phi.maps[s][y] == we.target
-            and y not in excluded
-        )
-        acc = sr.s_mul(k, acc, sr.s_pow(k, we.weight, n))
+        for y, lab in enumerate(G.labels[s]):
+            if y not in excluded:
+                for w in table.get((s, phi.maps[s][y], lab), ()):
+                    acc = sr.s_mul(k, acc, w)
     return acc
 
 
@@ -137,21 +145,15 @@ def weight_of_object(wtg: WeightedTypeGraph, G: CGraph) -> Weight:
     return _weight_sum(wtg, enumerate_homs(G, wtg.T))
 
 
-def side_homs(
-    wtg: WeightedTypeGraph, side: Morphism, t_k: Morphism
-) -> list[Morphism]:
-    """All t_Y: Y -> T with t_Y ∘ side = t_K, for side: K -> Y."""
-    if t_k.cod != wtg.T:
-        raise MorphismError("side_homs: t_K does not end in T")
-    return extensions(side, t_k)
-
-
 def side_comparisons(wtg: WeightedTypeGraph, rule: Rule):
     """(t_K, w_L, w_R, both sides empty) for every t_K: K -> T, where
-    w_L and w_R sum the weights of t_K's extensions along l and r."""
+    w_L and w_R sum the weights of t_K's extensions along l and r. Each
+    side's homs into T are enumerated once and grouped by t_K."""
+    lefts = extensions_by_restriction(rule.l, wtg.T)
+    rights = extensions_by_restriction(rule.r, wtg.T)
     for t_k in enumerate_homs(rule.interface, wtg.T):
-        ls = side_homs(wtg, rule.l, t_k)
-        rs = side_homs(wtg, rule.r, t_k)
+        ls = lefts.get(t_k.maps, ())
+        rs = rights.get(t_k.maps, ())
         yield t_k, _weight_sum(wtg, ls), _weight_sum(wtg, rs), not ls and not rs
 
 

@@ -6,20 +6,102 @@ lists the factorizations it excludes, `pullback` lets tests check that a
 pushout along a monomorphism is also a pullback, `identity` is the
 identity morphism, and `side_weight` is the weight of a rule side at an
 interface assignment, which the prover and the checker only compare.
+
+The rest are slower references for what the program computes faster:
+`brute_force_homs` for `enumerate_homs`, `brute_weight_of_morphism`
+for `weight_of_morphism`, and `side_homs` (one constrained enumeration
+per t_K) with `reference_side_comparisons` for the checker's replay.
 """
 from __future__ import annotations
 
+import itertools
 from typing import Optional
 
 from dpoterm import semiring as sr
 from dpoterm.graph import CGraph
-from dpoterm.morphism import Morphism, MorphismError, compose, enumerate_homs
-from dpoterm.semiring import Weight
-from dpoterm.wtg import WeightedTypeGraph, side_homs, weight_of_morphism
+from dpoterm.morphism import Morphism, MorphismError, compose, enumerate_homs, extensions
+from dpoterm.semiring import SemiringDescriptor, SemiringError, Weight
+from dpoterm.sysfile import Rule
+from dpoterm.wtg import WeightedTypeGraph, weight_of_morphism
 
 
 def identity(g: CGraph) -> Morphism:
     return Morphism(g, g, tuple(tuple(range(g.n(s))) for s in range(len(g.sig.objects))))
+
+
+def s_pow(k: SemiringDescriptor, a: Weight, n: int) -> Weight:
+    """a multiplied by itself n times in the semiring."""
+    if not sr.is_value(k, a):
+        raise SemiringError(f"{a!r} is not a value of the {k.kind} semiring")
+    if n < 0:
+        raise SemiringError("negative exponent")
+    if n == 0:
+        return sr.one(k)
+    if k.kind == "arithmetic":
+        return a**n
+    return a * n
+
+
+def brute_force_homs(
+    G: CGraph,
+    H: CGraph,
+    constraint: Optional[dict[tuple[int, int], int]] = None,
+    mono_only: bool = False,
+) -> list[Morphism]:
+    """Every assignment of images, one slot per element of G in
+    topological sort order, ids ascending, that Morphism.validate
+    accepts and that keeps the pins (and injectivity, with mono_only)."""
+    sig = G.sig
+    slots = [(s, i) for s in sig.topo_order for i in range(G.n(s))]
+    out = []
+    for choice in itertools.product(*(range(H.n(s)) for s, _ in slots)):
+        image = dict(zip(slots, choice))
+        if constraint and any(image[key] != j for key, j in constraint.items()):
+            continue
+        maps = tuple(
+            tuple(image[(s, i)] for i in range(G.n(s))) for s in range(len(sig.objects))
+        )
+        if mono_only and any(len(set(row)) < len(row) for row in maps):
+            continue
+        f = Morphism(G, H, maps)
+        try:
+            f.validate()
+        except MorphismError:
+            continue
+        out.append(f)
+    return out
+
+
+def side_homs(
+    wtg: WeightedTypeGraph, side: Morphism, t_k: Morphism
+) -> list[Morphism]:
+    """All t_Y: Y -> T with t_Y ∘ side = t_K, for side: K -> Y."""
+    if t_k.cod != wtg.T:
+        raise MorphismError("side_homs: t_K does not end in T")
+    return extensions(side, t_k)
+
+
+def brute_weight_of_morphism(wtg: WeightedTypeGraph, phi: Morphism) -> Weight:
+    """w(phi) by definition: each weighted element e: X -> T weighs in
+    once per a: X -> dom(phi) with phi∘a = e."""
+    k = wtg.semiring
+    acc = sr.one(k)
+    for we in wtg.elements:
+        n = sum(1 for a in enumerate_homs(we.shape, phi.dom) if compose(phi, a) == we.e)
+        acc = sr.s_mul(k, acc, s_pow(k, we.weight, n))
+    return acc
+
+
+def reference_side_comparisons(wtg: WeightedTypeGraph, rule: Rule):
+    """wtg.side_comparisons as one constrained enumeration per t_K,
+    weighed by definition."""
+    k = wtg.semiring
+    for t_k in enumerate_homs(rule.interface, wtg.T):
+        ls = side_homs(wtg, rule.l, t_k)
+        rs = side_homs(wtg, rule.r, t_k)
+        wl = sr.s_sum(k, (brute_weight_of_morphism(wtg, phi) for phi in ls))
+        wr = sr.s_sum(k, (brute_weight_of_morphism(wtg, phi) for phi in rs))
+        yield t_k, wl, wr, not ls and not rs
 
 
 def side_weight(wtg: WeightedTypeGraph, side: Morphism, t_k: Morphism) -> Weight:

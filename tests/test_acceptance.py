@@ -27,14 +27,13 @@ from dpoterm.verify import random_instance
 from dpoterm.wtg import (
     WeightedTypeGraph,
     element_at,
-    side_homs,
     weight_of_morphism,
     weight_of_object,
 )
 
 import worked_examples as ex
 from conftest import graph, named_map, random_host_containing
-from oracles import is_x_monic, side_weight
+from oracles import is_x_monic, side_homs, side_weight
 
 SYSTEMS = Path(__file__).resolve().parent.parent / "systems"
 

@@ -10,13 +10,15 @@ from pathlib import Path
 import pytest
 
 from dpoterm.certificate import certificate_to_json, read_certificate, write_certificate
-from dpoterm.checker import Certificate, CertStep, RuleEntry, check_certificate
+from dpoterm.checker import Certificate, CertStep, RuleEntry, check_certificate, step_wtg
 import dpoterm.graph
 from dpoterm.prover import DEFAULT_STRATEGY, run_strategy
 from dpoterm.sysfile import parse_system_file, print_graph_block, system_hash
+from dpoterm.wtg import side_comparisons
 
 import worked_examples as ex
 from conftest import graph
+from oracles import reference_side_comparisons
 
 SYSTEMS = Path(__file__).resolve().parent.parent / "systems"
 
@@ -175,6 +177,26 @@ def test_repeated_removal_rejected(proved):
     assert bad.steps[0].removed == (step.removed[0],) * 2
     got = check_certificate(system, bad)
     assert not got.accepted and "twice" in got.reason
+
+
+def test_replay_matches_the_per_interface_reference():
+    # every comparison the checker makes for the pinned certificates, in
+    # order, against one constrained enumeration per t_K and one
+    # weighing per weighted element
+    compared = 0
+    for path in sorted((Path(__file__).resolve().parent / "certificates").glob("*.cert")):
+        system = load(path.stem)
+        cert = read_certificate(system.sig, path.read_text())
+        remaining = {r.name: r for r in system.rules}
+        for step in cert.steps:
+            wtg = step_wtg(step)
+            for rule in remaining.values():
+                got = list(side_comparisons(wtg, rule))
+                assert got == list(reference_side_comparisons(wtg, rule)), (path.stem, rule.name)
+                compared += len(got)
+            for name in step.removed:
+                del remaining[name]
+    assert compared > 0
 
 
 def test_prove_and_check_never_call_canonical_key(searched, monkeypatch):

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import random
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dpoterm.graph import CGraph
 from dpoterm.morphism import (
@@ -14,7 +17,7 @@ from dpoterm.signature import parse_signature, representable_shapes
 from dpoterm.verify import random_instance
 
 from conftest import GRAPH_SIG, LABELLED_SIG, SIMPLE_SIG, graph, named_map
-from oracles import factor_through, identity, is_x_monic
+from oracles import brute_force_homs, factor_through, identity, is_x_monic
 
 
 def test_enumerate_point_into_two_nodes():
@@ -162,3 +165,34 @@ def test_factor_through_collapse():
     pt = graph(GRAPH_SIG, ["p"])
     x = named_map(pt, one, {"p": "z"})
     assert len(factor_through(x, u)) == 2
+
+
+# a labelled graph signature, a simple one and a hypergraph one
+DIFFERENTIAL_SIGS = (LABELLED_SIG, SIMPLE_SIG, parse_signature("V plus(V,V,V) zero(V)"))
+
+
+@given(
+    st.sampled_from(DIFFERENTIAL_SIGS),
+    st.integers(min_value=0, max_value=2**32),
+    st.sampled_from(["none", "from-a-hom", "random"]),
+    st.booleans(),
+)
+@settings(derandomize=True, max_examples=200, deadline=None)
+def test_enumerate_homs_equals_brute_force(sig, seed, pins, mono_only):
+    # the prover and the checker share enumerate_homs: same homs, same order
+    rng = random.Random(seed)
+    G = random_instance(sig, rng, max_base=2, max_elems=2)
+    H = random_instance(sig, rng, max_base=3, max_elems=3)
+    constraint = None
+    if pins != "none":
+        homs = enumerate_homs(G, H)
+        constraint = {}
+        for s in range(len(sig.objects)):
+            for i in range(G.n(s)):
+                if H.n(s) and rng.random() < 0.4:
+                    if pins == "from-a-hom" and homs:
+                        constraint[(s, i)] = homs[0].maps[s][i]
+                    else:
+                        constraint[(s, i)] = rng.randrange(H.n(s))
+    got = enumerate_homs(G, H, constraint, mono_only)
+    assert got == brute_force_homs(G, H, constraint, mono_only)

@@ -28,10 +28,11 @@ from dpoterm.wtg import (
     WeightedTypeGraph,
     check_rule_admissibility,
     element_at,
-    side_homs,
     verify_context_closure,
     weight_of_morphism,
 )
+
+from oracles import side_homs
 
 SYSTEMS = Path(__file__).resolve().parent.parent / "systems"
 

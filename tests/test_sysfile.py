@@ -147,8 +147,20 @@ framework monic
 
 def test_unknown_rule_in_relative():
     text = MINIMAL + "relative { ghost }\n"
-    with pytest.raises(SystemParseError, match="unknown rule"):
+    with pytest.raises(SystemParseError, match="unknown rule 'ghost'") as err:
         parse_system_file(text)
+    # reported at the relative line, not at the top of the file
+    assert err.value.line == 22
+
+
+def test_unknown_rule_in_relative_before_the_rules():
+    # the name may precede its rule, so it is resolved at the end and
+    # still reported at its own line
+    text = MINIMAL.replace("rule keep", "relative { keep ghost }\n\nrule keep")
+    with pytest.raises(SystemParseError, match="unknown rule 'ghost'") as err:
+        parse_system_file(text)
+    assert err.value.line == 13
+    assert parse_system_file(text.replace(" ghost", "")).relative == {"keep"}
 
 
 def test_diagnostics_carry_line_numbers():
@@ -249,6 +261,28 @@ def test_hash_covers_what_the_checker_reads(text):
     ids=["signature-between-graphs-and-rules", "signature-at-end", "same-framework", "other-framework"],
 )
 def test_repeated_signature_or_framework_rejected(text, line, what):
+    with pytest.raises(SystemParseError, match=f"repeated {what}") as err:
+        parse_system_file(text)
+    assert err.value.line == line
+
+
+@pytest.mark.parametrize(
+    "text, line, what",
+    [
+        (MINIMAL + "relative { keep }\nrelative { keep }\n", 23, "relative"),
+        (MINIMAL + "relative { keep }\n\nrelative { }\n", 24, "relative"),
+        (MINIMAL + 'strategy "arithmetic(size=1)"\nstrategy "arithmetic(size=1)"\n', 23, "strategy"),
+        (
+            MINIMAL.replace("rule keep", 'strategy "tropical(size=1)"\n\nrule keep')
+            + 'strategy "arithmetic(size=1)"\n',
+            24,
+            "strategy",
+        ),
+    ],
+    ids=["same-relative", "other-relative", "same-strategy", "other-strategy"],
+)
+def test_repeated_relative_or_strategy_rejected(text, line, what):
+    # a later line would otherwise replace the earlier one without a word
     with pytest.raises(SystemParseError, match=f"repeated {what}") as err:
         parse_system_file(text)
     assert err.value.line == line

@@ -30,7 +30,6 @@ from dpoterm.wtg import (
     WtgError,
     detect_collapse_epi,
     element_at,
-    side_homs,
     verify_context_closure,
     weight_of_morphism,
     weight_of_object,
@@ -38,20 +37,15 @@ from dpoterm.wtg import (
 
 import worked_examples as ex
 from conftest import GRAPH_SIG, graph, named_map
-from oracles import factor_through, identity, is_x_monic, side_weight
-
-
-def brute_weight_of_morphism(wtg, phi):
-    k = wtg.semiring
-    acc = sr.one(k)
-    for we in wtg.elements:
-        n = sum(
-            1
-            for a in enumerate_homs(we.shape, phi.dom)
-            if compose(phi, a) == we.e
-        )
-        acc = sr.s_mul(k, acc, sr.s_pow(k, we.weight, n))
-    return acc
+from oracles import (
+    brute_weight_of_morphism,
+    factor_through,
+    identity,
+    is_x_monic,
+    s_pow,
+    side_homs,
+    side_weight,
+)
 
 
 def brute_weight_excluding(wtg, phi, alpha):
@@ -64,7 +58,7 @@ def brute_weight_excluding(wtg, phi, alpha):
                 continue
             if not factor_through(tau, alpha):
                 n += 1
-        acc = sr.s_mul(k, acc, sr.s_pow(k, we.weight, n))
+        acc = sr.s_mul(k, acc, s_pow(k, we.weight, n))
     return acc
 
 
