@@ -25,11 +25,11 @@ VERSION = 2
 
 
 def _element_label(T: CGraph, sort: str, name: str) -> Optional[str]:
-    s = T.sig.sort(sort)
-    for i in range(T.n(s)):
-        if T.name_of(s, i) == name:
-            return T.labels[s][i]
-    raise CertificateError(f"unknown element {sort} {name}")
+    T.sig.sort(sort)  # an unknown sort is a SignatureError
+    if (sort, name) not in T.element_ids:
+        raise CertificateError(f"unknown element {sort} {name}")
+    s, i = T.element_ids[sort, name]
+    return T.labels[s][i]
 
 
 def _element_row(T: CGraph, sort: str, name: str, label, weight: int, row):

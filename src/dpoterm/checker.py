@@ -18,8 +18,7 @@ from . import semiring as sr
 from .graph import CGraph, GraphError, validate_instance
 from .morphism import compose
 from .semiring import SEMIRINGS
-from .signature import representable_shapes
-from .sysfile import Rule, System, SystemParseError, _names_to_morphism, system_hash
+from .sysfile import Rule, System, SystemParseError, _names_to_morphism
 from .wtg import (
     WeightedTypeGraph,
     check_rule_admissibility,
@@ -69,14 +68,6 @@ def _reject(reason: str) -> CheckResult:
     return CheckResult(False, reason)
 
 
-def _element_ids(g: CGraph) -> dict[tuple[str, str], tuple[int, int]]:
-    out = {}
-    for s in range(len(g.sig.objects)):
-        for i in range(g.n(s)):
-            out[(g.sig.objects[s].name, g.name_of(s, i))] = (s, i)
-    return out
-
-
 def step_wtg(step: CertStep) -> WeightedTypeGraph:
     """The weighted type graph a certificate step records; raises
     CertificateError on an unknown semiring, an invalid type graph, an
@@ -88,27 +79,26 @@ def step_wtg(step: CertStep) -> WeightedTypeGraph:
         validate_instance(T)
     except GraphError as e:
         raise CertificateError(f"invalid type graph: {e}") from None
-    ids = _element_ids(T)
-    shapes = representable_shapes(T.sig)
+    ids = T.element_ids
     elements = []
     for sort, name, w in step.elements:
         if (sort, name) not in ids:
             raise CertificateError("weighted element names an unknown element")
         s, i = ids[(sort, name)]
         try:
-            elements.append(element_at(T, sort, T.labels[s][i], i, w, shapes))
+            elements.append(element_at(T, sort, T.labels[s][i], i, w))
         except ValueError as e:
             raise CertificateError(f"bad weighted element: {e}") from None
     wtg = WeightedTypeGraph(T, tuple(elements), SEMIRINGS[step.semiring_kind])
     try:
-        wtg.validate(shapes)
+        wtg.validate()
     except ValueError as e:
         raise CertificateError(str(e)) from None
     return wtg
 
 
 def check_certificate(system: System, cert: Certificate) -> CheckResult:
-    if cert.system_hash != system_hash(system):
+    if cert.system_hash != system.hash:
         return _reject("system hash mismatch")
     if cert.verdict not in VERDICTS:
         return _reject(f"unknown verdict {cert.verdict!r}")

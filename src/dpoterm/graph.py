@@ -53,6 +53,15 @@ class CGraph:
                 idx.setdefault((s, self.args[s][i], self.labels[s][i]), []).append(i)
         return {k: tuple(v) for k, v in idx.items()}
 
+    @cached_property
+    def element_ids(self) -> dict[tuple[str, str], tuple[int, int]]:
+        """(sort name, element name) -> (sort, id)."""
+        out = {}
+        for s in range(len(self.sig.objects)):
+            for i in range(self.n(s)):
+                out[(self.sig.objects[s].name, self.name_of(s, i))] = (s, i)
+        return out
+
     def name_of(self, s: int, i: int) -> str:
         if self.names is not None and i < len(self.names[s]):
             return self.names[s][i]

@@ -32,8 +32,8 @@ from .morphism import (
     image_elements,
 )
 from .semiring import SEMIRINGS, SemiringDescriptor
-from .signature import IndexSignature, representable_shapes
-from .sysfile import Framework, System, system_hash
+from .signature import IndexSignature
+from .sysfile import Framework, System
 from .wtg import (
     check_rule_admissibility,
     detect_collapse_epi,
@@ -240,10 +240,8 @@ class _Problem:
             for i in range(T.n(s))
         ]
 
-        shapes = representable_shapes(sig)
         self.admissible: dict[tuple[int, Optional[str]], bool] = {}
-        for shape, gen in shapes:
-            key = (gen.sort, shape.labels[gen.sort][gen.id])
+        for key, (shape, gen) in sig.shapes.items():
             ok = all(
                 check_rule_admissibility(r, fw, [(shape, gen)])["leftWeighable"]
                 for r in rules
@@ -771,7 +769,11 @@ class _Search:
         for value in values:
             extra = 0 if value == ABSENT else value - neutral
             if cost + extra > tier:
-                continue
+                # weights ascend, so every heavier one is over the tier
+                # too; only absence, free and always last, is left
+                if values[-1] != ABSENT:
+                    break
+                value, extra = ABSENT, 0
             self.val[v] = lo[v] = hi[v] = value
             cap = left - extra
             applied = self.cap
@@ -815,7 +817,7 @@ class _Search:
             self.undecided_mask |= bit
             if value == ABSENT:
                 self.absent_mask &= ~bit
-            if self.found is not None:
+            if self.found is not None or value == ABSENT:
                 return
 
 
@@ -1013,5 +1015,5 @@ def run_strategy(system: System, strategy) -> ProveResult:
         verdict = "relatively-terminating"
     else:
         verdict = "failed"
-    cert = Certificate(system_hash(system), tuple(steps), verdict, left_names)
+    cert = Certificate(system.hash, tuple(steps), verdict, left_names)
     return ProveResult(cert, tuple(warnings))

@@ -7,7 +7,7 @@ comparison against ints stays exact.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Union
+from typing import Union
 
 Weight = Union[int, float]
 
@@ -58,13 +58,6 @@ def _check(k: SemiringDescriptor, *vals: Weight) -> None:
             raise SemiringError(f"{a!r} is not a value of the {k.kind} semiring")
 
 
-def s_add(k: SemiringDescriptor, a: Weight, b: Weight) -> Weight:
-    _check(k, a, b)
-    if k.kind == "arithmetic":
-        return a + b
-    return min(a, b) if k.kind == "tropical" else max(a, b)
-
-
 def s_mul(k: SemiringDescriptor, a: Weight, b: Weight) -> Weight:
     _check(k, a, b)
     if k.kind == "arithmetic":
@@ -87,13 +80,6 @@ def s_le(k: SemiringDescriptor, a: Weight, b: Weight) -> bool:
 
 def s_lt(k: SemiringDescriptor, a: Weight, b: Weight) -> bool:
     return s_cmp(k, a, b) < 0
-
-
-def s_sum(k: SemiringDescriptor, vals: Iterable[Weight]) -> Weight:
-    acc = zero(k)
-    for v in vals:
-        acc = s_add(k, acc, v)
-    return acc
 
 
 def is_legal_element_weight(k: SemiringDescriptor, w: Weight) -> bool:

@@ -49,8 +49,13 @@ class IndexSignature:
         except KeyError:
             raise SignatureError(f"unknown sort {name!r}") from None
 
+    @cached_property
+    def arg_table(self) -> tuple[tuple[int, ...], ...]:
+        """Per sort, the indices of its argument target sorts."""
+        return tuple(tuple(self.index[t] for t in o.args) for o in self.objects)
+
     def arg_sorts(self, s: int) -> tuple[int, ...]:
-        return tuple(self.index[t] for t in self.objects[s].args)
+        return self.arg_table[s]
 
     def is_base(self, s: int) -> bool:
         return not self.objects[s].args
@@ -89,6 +94,15 @@ class IndexSignature:
         """Admissible element labels of a sort; (None,) when unlabelled."""
         labels = self.objects[s].labels
         return labels if labels else (None,)
+
+    @cached_property
+    def shapes(self) -> dict:
+        """(sort, label) -> (shape, generator): representable_shapes,
+        keyed by the generator's sort and label, in the same order."""
+        return {
+            (gen.sort, shape.labels[gen.sort][gen.id]): (shape, gen)
+            for shape, gen in representable_shapes(self)
+        }
 
 
 # names may be numeric so that plain digit labels like 0/1 work

@@ -14,6 +14,7 @@ from functools import cached_property
 from typing import Iterable, Optional
 
 import itertools
+import operator
 
 from . import semiring as sr
 from .graph import CGraph, ElementRef
@@ -27,7 +28,6 @@ from .morphism import (
     image_elements,
 )
 from .semiring import SemiringDescriptor, Weight
-from .signature import representable_shapes
 from .sysfile import Framework, Rule
 
 
@@ -58,17 +58,19 @@ class WeightedTypeGraph:
     semiring: SemiringDescriptor
 
     @cached_property
-    def weight_table(self) -> dict[tuple[int, int, Optional[str]], list[Weight]]:
-        """(sort, type-graph id, label) -> the weights of the elements
-        whose generator lands on that element with that label."""
-        table: dict[tuple[int, int, Optional[str]], list[Weight]] = {}
+    def weight_table(self) -> dict[tuple[int, int, Optional[str]], Weight]:
+        """(sort, type-graph id, label) -> the semiring product of the
+        weights of the elements whose generator lands on that element
+        with that label."""
+        mul = operator.mul if self.semiring.kind == "arithmetic" else operator.add
+        table: dict[tuple[int, int, Optional[str]], Weight] = {}
         for we in self.elements:
-            table.setdefault((we.gen.sort, we.target, we.gen_label), []).append(we.weight)
+            key = (we.gen.sort, we.target, we.gen_label)
+            table[key] = mul(table[key], we.weight) if key in table else we.weight
         return table
 
-    def validate(self, shapes=None) -> None:
-        """shapes: representable_shapes(T.sig), when the caller has them."""
-        free = shapes if shapes is not None else representable_shapes(self.T.sig)
+    def validate(self) -> None:
+        free = self.T.sig.shapes.values()
         for we in self.elements:
             we.e.validate()
             if we.e.cod != self.T:
@@ -87,26 +89,26 @@ class WeightedTypeGraph:
 
 
 def element_at(
-    T: CGraph,
-    sort_name: str,
-    label: Optional[str],
-    target: int,
-    weight: Weight,
-    shapes=None,
+    T: CGraph, sort_name: str, label: Optional[str], target: int, weight: Weight
 ) -> WeightedElement:
     """The weighted element whose shape generator lands on the given
-    type-graph element; shapes as in WeightedTypeGraph.validate."""
+    type-graph element."""
     sig = T.sig
     s = sig.sort(sort_name)
-    for shape, gen in shapes if shapes is not None else representable_shapes(sig):
-        if gen.sort == s and shape.labels[s][gen.id] == label:
-            homs = enumerate_homs(shape, T, constraint={(s, gen.id): target})
-            if len(homs) != 1:
-                raise WtgError(
-                    f"no unique embedding of the {sort_name} shape at element {target}"
-                )
-            return WeightedElement(shape, gen, homs[0], weight)
-    raise WtgError(f"no representable shape for {sort_name} with label {label!r}")
+    if (s, label) not in sig.shapes:
+        raise WtgError(f"no representable shape for {sort_name} with label {label!r}")
+    shape, gen = sig.shapes[s, label]
+    if not (0 <= target < T.n(s) and T.labels[s][target] == label):
+        raise WtgError(f"no unique embedding of the {sort_name} shape at element {target}")
+    # the shape is a tree of fresh arguments below its generator, so its
+    # only embedding follows T's argument arrows down from the target
+    maps = [[-1] * shape.n(t) for t in range(len(sig.objects))]
+    todo = [(s, gen.id, target)]
+    while todo:
+        t, x, y = todo.pop()
+        maps[t][x] = y
+        todo += zip(sig.arg_sorts(t), shape.args[t][x], T.args[t][y])
+    return WeightedElement(shape, gen, Morphism(shape, T, tuple(map(tuple, maps))), weight)
 
 
 def weight_of_morphism(
@@ -114,31 +116,40 @@ def weight_of_morphism(
 ) -> Weight:
     """The product of every element's weight raised to its number of
     occurrences in phi. With exclude = alpha: A -> dom(phi), only the
-    occurrences that do not factor through alpha count."""
+    occurrences that do not factor through alpha count.
+
+    Plain integer arithmetic: the weights are legal (validate) and so
+    is every product of them."""
     if phi.cod != wtg.T:
         raise MorphismError("weight: morphism does not end in T")
     if exclude is not None and exclude.cod != phi.dom:
         raise MorphismError("weight: exclusion morphism does not end in dom(phi)")
     G = phi.dom
-    k = wtg.semiring
+    arithmetic = wtg.semiring.kind == "arithmetic"
     table = wtg.weight_table
-    acc = sr.one(k)
+    acc = 1 if arithmetic else 0
     # each element y of G is one occurrence of every weighted element
     # whose generator lands on phi(y) with y's label
     for s in range(len(G.sig.objects)):
         # a free shape's occurrence factors through alpha iff its
         # generator's image lies in alpha's image
         excluded = set(exclude.maps[s]) if exclude is not None else ()
+        image = phi.maps[s]
         for y, lab in enumerate(G.labels[s]):
             if y not in excluded:
-                for w in table.get((s, phi.maps[s][y], lab), ()):
-                    acc = sr.s_mul(k, acc, w)
+                w = table.get((s, image[y], lab))
+                if w is not None:
+                    acc = acc * w if arithmetic else acc + w
     return acc
 
 
 def _weight_sum(wtg: WeightedTypeGraph, homs) -> Weight:
     """The semiring sum of the weights of the given morphisms."""
-    return sr.s_sum(wtg.semiring, (weight_of_morphism(wtg, phi) for phi in homs))
+    k = wtg.semiring
+    weights = (weight_of_morphism(wtg, phi) for phi in homs)
+    if k.kind == "arithmetic":
+        return sum(weights)
+    return (min if k.kind == "tropical" else max)(weights, default=sr.zero(k))
 
 
 def weight_of_object(wtg: WeightedTypeGraph, G: CGraph) -> Weight:

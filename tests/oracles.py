@@ -7,10 +7,18 @@ pushout along a monomorphism is also a pullback, `identity` is the
 identity morphism, and `side_weight` is the weight of a rule side at an
 interface assignment, which the prover and the checker only compare.
 
+The semiring's addition `s_add`, its sums `s_sum` and its powers
+`s_pow` check that every operand is a value of the semiring; the
+program weighs with plain integer operations once the weights are
+validated.
+
 The rest are slower references for what the program computes faster:
 `brute_force_homs` for `enumerate_homs`, `brute_weight_of_morphism`
-for `weight_of_morphism`, and `side_homs` (one constrained enumeration
-per t_K) with `reference_side_comparisons` for the checker's replay.
+(by definition) and `checked_weight_of_morphism` (per type-graph
+element, with the checked semiring operations) for
+`weight_of_morphism`, `reference_element_at` (the unique constrained
+hom) for `element_at`, and `side_homs` (one constrained enumeration per
+t_K) with `reference_side_comparisons` for the checker's replay.
 """
 from __future__ import annotations
 
@@ -21,12 +29,29 @@ from dpoterm import semiring as sr
 from dpoterm.graph import CGraph
 from dpoterm.morphism import Morphism, MorphismError, compose, enumerate_homs, extensions
 from dpoterm.semiring import SemiringDescriptor, SemiringError, Weight
+from dpoterm.signature import representable_shapes
 from dpoterm.sysfile import Rule
-from dpoterm.wtg import WeightedTypeGraph, weight_of_morphism
+from dpoterm.wtg import WeightedElement, WeightedTypeGraph, WtgError, weight_of_morphism
 
 
 def identity(g: CGraph) -> Morphism:
     return Morphism(g, g, tuple(tuple(range(g.n(s))) for s in range(len(g.sig.objects))))
+
+
+def s_add(k: SemiringDescriptor, a: Weight, b: Weight) -> Weight:
+    for v in (a, b):
+        if not sr.is_value(k, v):
+            raise SemiringError(f"{v!r} is not a value of the {k.kind} semiring")
+    if k.kind == "arithmetic":
+        return a + b
+    return min(a, b) if k.kind == "tropical" else max(a, b)
+
+
+def s_sum(k: SemiringDescriptor, vals) -> Weight:
+    acc = sr.zero(k)
+    for v in vals:
+        acc = s_add(k, acc, v)
+    return acc
 
 
 def s_pow(k: SemiringDescriptor, a: Weight, n: int) -> Weight:
@@ -92,6 +117,38 @@ def brute_weight_of_morphism(wtg: WeightedTypeGraph, phi: Morphism) -> Weight:
     return acc
 
 
+def checked_weight_of_morphism(wtg: WeightedTypeGraph, phi: Morphism) -> Weight:
+    """w(phi) as one checked semiring product per element of dom(phi)
+    and weighted element on its image with its label."""
+    k = wtg.semiring
+    acc = sr.one(k)
+    G = phi.dom
+    for s in range(len(G.sig.objects)):
+        for y, lab in enumerate(G.labels[s]):
+            for we in wtg.elements:
+                if (we.gen.sort, we.target, we.gen_label) == (s, phi.maps[s][y], lab):
+                    acc = sr.s_mul(k, acc, we.weight)
+    return acc
+
+
+def reference_element_at(
+    T: CGraph, sort_name: str, label: Optional[str], target: int, weight: Weight
+) -> WeightedElement:
+    """element_at as the unique hom from the representable shape into T
+    that sends its generator to target."""
+    sig = T.sig
+    s = sig.sort(sort_name)
+    for shape, gen in representable_shapes(sig):
+        if gen.sort == s and shape.labels[s][gen.id] == label:
+            homs = enumerate_homs(shape, T, constraint={(s, gen.id): target})
+            if len(homs) != 1:
+                raise WtgError(
+                    f"no unique embedding of the {sort_name} shape at element {target}"
+                )
+            return WeightedElement(shape, gen, homs[0], weight)
+    raise WtgError(f"no representable shape for {sort_name} with label {label!r}")
+
+
 def reference_side_comparisons(wtg: WeightedTypeGraph, rule: Rule):
     """wtg.side_comparisons as one constrained enumeration per t_K,
     weighed by definition."""
@@ -99,15 +156,15 @@ def reference_side_comparisons(wtg: WeightedTypeGraph, rule: Rule):
     for t_k in enumerate_homs(rule.interface, wtg.T):
         ls = side_homs(wtg, rule.l, t_k)
         rs = side_homs(wtg, rule.r, t_k)
-        wl = sr.s_sum(k, (brute_weight_of_morphism(wtg, phi) for phi in ls))
-        wr = sr.s_sum(k, (brute_weight_of_morphism(wtg, phi) for phi in rs))
+        wl = s_sum(k, (brute_weight_of_morphism(wtg, phi) for phi in ls))
+        wr = s_sum(k, (brute_weight_of_morphism(wtg, phi) for phi in rs))
         yield t_k, wl, wr, not ls and not rs
 
 
 def side_weight(wtg: WeightedTypeGraph, side: Morphism, t_k: Morphism) -> Weight:
     """The semiring sum of w(t_Y) over every t_Y: Y -> T with
     t_Y ∘ side = t_K, for side: K -> Y."""
-    return sr.s_sum(
+    return s_sum(
         wtg.semiring, (weight_of_morphism(wtg, t_y) for t_y in side_homs(wtg, side, t_k))
     )
 

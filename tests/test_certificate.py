@@ -14,11 +14,18 @@ from dpoterm.checker import Certificate, CertStep, RuleEntry, check_certificate,
 import dpoterm.graph
 from dpoterm.prover import DEFAULT_STRATEGY, run_strategy
 from dpoterm.sysfile import parse_system_file, print_graph_block, system_hash
-from dpoterm.wtg import side_comparisons
+from dpoterm.graph import complete_type_graph
+from dpoterm.wtg import WtgError, element_at, side_comparisons, weight_of_morphism
 
 import worked_examples as ex
 from conftest import graph
-from oracles import reference_side_comparisons
+from oracles import (
+    checked_weight_of_morphism,
+    reference_element_at,
+    reference_side_comparisons,
+    s_sum,
+    side_homs,
+)
 
 SYSTEMS = Path(__file__).resolve().parent.parent / "systems"
 
@@ -179,11 +186,10 @@ def test_repeated_removal_rejected(proved):
     assert not got.accepted and "twice" in got.reason
 
 
-def test_replay_matches_the_per_interface_reference():
-    # every comparison the checker makes for the pinned certificates, in
-    # order, against one constrained enumeration per t_K and one
-    # weighing per weighted element
-    compared = 0
+def _pinned_replays():
+    """(certificate name, step's weighted type graph, rule) for every
+    rule the checker compares at every step of the pinned certificates,
+    in the checker's order."""
     for path in sorted((Path(__file__).resolve().parent / "certificates").glob("*.cert")):
         system = load(path.stem)
         cert = read_certificate(system.sig, path.read_text())
@@ -191,12 +197,67 @@ def test_replay_matches_the_per_interface_reference():
         for step in cert.steps:
             wtg = step_wtg(step)
             for rule in remaining.values():
-                got = list(side_comparisons(wtg, rule))
-                assert got == list(reference_side_comparisons(wtg, rule)), (path.stem, rule.name)
-                compared += len(got)
+                yield path.stem, wtg, rule
             for name in step.removed:
                 del remaining[name]
+
+
+def test_replay_matches_the_per_interface_reference():
+    # every comparison the checker makes for the pinned certificates, in
+    # order, against one constrained enumeration per t_K and one
+    # weighing per weighted element
+    compared = 0
+    for stem, wtg, rule in _pinned_replays():
+        got = list(side_comparisons(wtg, rule))
+        assert got == list(reference_side_comparisons(wtg, rule)), (stem, rule.name)
+        compared += len(got)
     assert compared > 0
+
+
+def test_plain_weighing_matches_the_checked_semiring_operations():
+    # the same comparisons, each side's homs weighed with plain integer
+    # operations and with the checked s_mul and s_sum
+    compared = 0
+    for stem, wtg, rule in _pinned_replays():
+        k = wtg.semiring
+        for t_k, wl, wr, _ in side_comparisons(wtg, rule):
+            for side, got in ((rule.l, wl), (rule.r, wr)):
+                homs = side_homs(wtg, side, t_k)
+                weights = [weight_of_morphism(wtg, phi) for phi in homs]
+                assert weights == [checked_weight_of_morphism(wtg, phi) for phi in homs]
+                assert got == s_sum(k, weights), (stem, rule.name, t_k.maps)
+                compared += len(homs)
+    assert compared > 0
+
+
+def test_element_at_is_the_unique_constrained_embedding():
+    """Every element of every pinned type graph and of the saturated
+    graphs at sizes 1-3 of each shipped signature."""
+    graphs = []
+    for path in sorted((Path(__file__).resolve().parent / "certificates").glob("*.cert")):
+        cert = read_certificate(load(path.stem).sig, path.read_text())
+        graphs += [step.type_graph for step in cert.steps]
+    for path in sorted(SYSTEMS.glob("*.gts")):
+        sig = load(path.stem).sig
+        for n in (1, 2, 3):
+            graphs.append(
+                complete_type_graph(sig, {sig.objects[s].name: n for s in sig.base_sorts})
+            )
+    embedded = 0
+    for T in graphs:
+        for s, decl in enumerate(T.sig.objects):
+            for i, lab in enumerate(T.labels[s]):
+                got = element_at(T, decl.name, lab, i, 2)
+                assert got == reference_element_at(T, decl.name, lab, i, 2)
+                got.e.validate()
+                embedded += 1
+            for lab in T.sig.element_labels(s):
+                for i in range(T.n(s)):
+                    if T.labels[s][i] != lab:
+                        for at in (element_at, reference_element_at):
+                            with pytest.raises(WtgError, match="no unique embedding"):
+                                at(T, decl.name, lab, i, 2)
+    assert len(graphs) > 24 and embedded == sum(T.size for T in graphs)
 
 
 def test_prove_and_check_never_call_canonical_key(searched, monkeypatch):

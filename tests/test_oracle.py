@@ -32,7 +32,7 @@ from dpoterm.wtg import (
     weight_of_morphism,
 )
 
-from oracles import side_homs
+from oracles import s_sum, side_homs
 
 SYSTEMS = Path(__file__).resolve().parent.parent / "systems"
 
@@ -97,8 +97,8 @@ class _Constraint:
                 make_element(e, w) for (_, e), w in zip(self.elems, key) if w != one
             )
             wtg = WeightedTypeGraph(self.TM, elements, self.kind)
-            wl = sr.s_sum(self.kind, (weight_of_morphism(wtg, phi) for phi in self.lhoms))
-            wr = sr.s_sum(self.kind, (weight_of_morphism(wtg, phi) for phi in self.rhoms))
+            wl = s_sum(self.kind, (weight_of_morphism(wtg, phi) for phi in self.lhoms))
+            wr = s_sum(self.kind, (weight_of_morphism(wtg, phi) for phi in self.rhoms))
             got = (sr.s_le(self.kind, wr, wl), sr.s_lt(self.kind, wr, wl))
             self.memo[key] = got
         return got

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -112,8 +113,7 @@ def test_search_limitations_tau_exhausts_small():
 
 
 def test_run_strategy_empty_system_is_terminating():
-    system = load("loop_unfolding")
-    system.rules = ()
+    system = replace(load("loop_unfolding"), rules=())
     res = run_strategy(system, DEFAULT_STRATEGY)
     assert res.certificate.verdict == "terminating"
     assert res.certificate.steps == ()

@@ -42,6 +42,7 @@ from oracles import (
     factor_through,
     identity,
     is_x_monic,
+    s_add,
     s_pow,
     side_homs,
     side_weight,
@@ -432,7 +433,7 @@ def test_weighing_pushout_objects_formula(rng):
             part_c = sr.zero(k)
             for t_c in enumerate_homs(square.beta.cod, t):
                 if compose(t_c, square.beta) == t_a:
-                    part_c = sr.s_add(
+                    part_c = s_add(
                         k,
                         part_c,
                         weight_of_morphism(wtg, t_c, square.beta),
@@ -440,8 +441,8 @@ def test_weighing_pushout_objects_formula(rng):
             part_b = sr.zero(k)
             for t_b in enumerate_homs(square.alpha.cod, t):
                 if compose(t_b, square.alpha) == t_a:
-                    part_b = sr.s_add(k, part_b, weight_of_morphism(wtg, t_b))
-            total = sr.s_add(k, total, sr.s_mul(k, part_c, part_b))
+                    part_b = s_add(k, part_b, weight_of_morphism(wtg, t_b))
+            total = s_add(k, total, sr.s_mul(k, part_c, part_b))
         w_d = weight_of_object(wtg, square.D)
         if _square_weighable(square, [edge_shape]):
             assert w_d == total
