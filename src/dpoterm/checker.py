@@ -18,7 +18,7 @@ from . import semiring as sr
 from .graph import CGraph, GraphError, validate_instance
 from .morphism import compose
 from .semiring import SEMIRINGS
-from .sysfile import Rule, System, SystemParseError, _names_to_morphism
+from .sysfile import Rule, System, SystemParseError, _names_to_morphism, system_hash
 from .wtg import (
     WeightedTypeGraph,
     check_rule_admissibility,
@@ -98,7 +98,7 @@ def step_wtg(step: CertStep) -> WeightedTypeGraph:
 
 
 def check_certificate(system: System, cert: Certificate) -> CheckResult:
-    if cert.system_hash != system.hash:
+    if cert.system_hash != system_hash(system):
         return _reject("system hash mismatch")
     if cert.verdict not in VERDICTS:
         return _reject(f"unknown verdict {cert.verdict!r}")

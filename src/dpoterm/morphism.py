@@ -185,6 +185,10 @@ def enumerate_homs(
                     used[s].discard(j)
 
     extend(0)
+    # extend refers to itself through its closure; without this the
+    # cycle keeps the search state and every Morphism alive until the
+    # cyclic collector runs
+    del extend
     return out
 
 

@@ -33,7 +33,7 @@ from .morphism import (
 )
 from .semiring import SEMIRINGS, SemiringDescriptor
 from .signature import IndexSignature
-from .sysfile import Framework, System
+from .sysfile import Framework, System, system_hash
 from .wtg import (
     check_rule_admissibility,
     detect_collapse_epi,
@@ -430,11 +430,14 @@ class _Search:
     def __init__(self, problem: _Problem, deadline: Optional[float]):
         self.p = problem
         self.deadline = deadline
-        # the bound evaluator of this semiring, called per tried value
+        # the bound evaluator of this semiring, called per tried value as
+        # self._eval(self, cid): a bound method kept on self would be a
+        # reference cycle that holds the search and its problem until the
+        # cyclic collector runs
         self._eval = {
-            "arithmetic": self._eval_arithmetic,
-            "tropical": self._eval_tropical,
-            "arctic": self._eval_arctic,
+            "arithmetic": _Search._eval_arithmetic,
+            "tropical": _Search._eval_tropical,
+            "arctic": _Search._eval_arctic,
         }[problem.kind.kind]
         self.val: list[Optional[int]] = [None] * problem.nvars
         for v in range(problem.nvars):
@@ -488,7 +491,7 @@ class _Search:
         self.weak_blocked = [0] * nr
         self.uniform_blocked = [0] * nr
         for cid in range(len(self.cons)):
-            self._set_state(cid, self._eval(cid))
+            self._set_state(cid, self._eval(self, cid))
         self.nodes = 0
 
     # --- constraint evaluation ---------------------------------------
@@ -769,11 +772,7 @@ class _Search:
         for value in values:
             extra = 0 if value == ABSENT else value - neutral
             if cost + extra > tier:
-                # weights ascend, so every heavier one is over the tier
-                # too; only absence, free and always last, is left
-                if values[-1] != ABSENT:
-                    break
-                value, extra = ABSENT, 0
+                continue
             self.val[v] = lo[v] = hi[v] = value
             cap = left - extra
             applied = self.cap
@@ -791,7 +790,7 @@ class _Search:
                 saved = []
                 blocker = None
                 for i, cid in enumerate(cids):
-                    st = self._eval(cid)
+                    st = self._eval(self, cid)
                     if st[3] and not st[0]:
                         blocker = i
                         break
@@ -817,7 +816,7 @@ class _Search:
             self.undecided_mask |= bit
             if value == ABSENT:
                 self.absent_mask &= ~bit
-            if self.found is not None or value == ABSENT:
+            if self.found is not None:
                 return
 
 
@@ -1015,5 +1014,5 @@ def run_strategy(system: System, strategy) -> ProveResult:
         verdict = "relatively-terminating"
     else:
         verdict = "failed"
-    cert = Certificate(system.hash, tuple(steps), verdict, left_names)
+    cert = Certificate(system_hash(system), tuple(steps), verdict, left_names)
     return ProveResult(cert, tuple(warnings))

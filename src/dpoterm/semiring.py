@@ -6,8 +6,9 @@ comparison against ints stays exact.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from typing import Union
+from typing import Callable, Union
 
 Weight = Union[int, float]
 
@@ -58,12 +59,25 @@ def _check(k: SemiringDescriptor, *vals: Weight) -> None:
             raise SemiringError(f"{a!r} is not a value of the {k.kind} semiring")
 
 
+# (product, sum) per kind; min-plus and max-plus get the absorption
+# a + (+-inf) = +-inf from float +
+_PLAIN: dict[str, tuple[Callable, Callable]] = {
+    "arithmetic": (operator.mul, operator.add),
+    "tropical": (operator.add, min),
+    "arctic": (operator.add, max),
+}
+
+
+def plain_ops(k: SemiringDescriptor) -> tuple[Callable, Callable]:
+    """The semiring's (product, sum) on plain values, unchecked: for
+    values already known to be legal, such as validated weights and
+    their products."""
+    return _PLAIN[k.kind]
+
+
 def s_mul(k: SemiringDescriptor, a: Weight, b: Weight) -> Weight:
     _check(k, a, b)
-    if k.kind == "arithmetic":
-        return a * b
-    # min-plus / max-plus: absorption a + (+-inf) = +-inf falls out of float +
-    return a + b
+    return _PLAIN[k.kind][0](a, b)
 
 
 def s_cmp(k: SemiringDescriptor, a: Weight, b: Weight) -> int:

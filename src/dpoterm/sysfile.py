@@ -29,7 +29,6 @@ from __future__ import annotations
 import hashlib
 import re
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Optional
 
 from .graph import CGraph
@@ -98,7 +97,7 @@ class Rule:
         return self.r.cod
 
 
-@dataclass(frozen=True)
+@dataclass
 class System:
     sig: IndexSignature
     graphs: dict[str, CGraph]
@@ -106,12 +105,6 @@ class System:
     framework: Framework
     relative: frozenset[str] = frozenset()
     strategy: Optional[str] = None
-
-    @cached_property
-    def hash(self) -> str:
-        """system_hash(self), computed once: every field it reads is
-        immutable."""
-        return system_hash(self)
 
     def s1_names(self) -> tuple[str, ...]:
         return tuple(r.name for r in self.rules if r.name not in self.relative)

@@ -10,11 +10,10 @@ generator preimages.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import Iterable, Optional
 
 import itertools
-import operator
 
 from . import semiring as sr
 from .graph import CGraph, ElementRef
@@ -62,7 +61,7 @@ class WeightedTypeGraph:
         """(sort, type-graph id, label) -> the semiring product of the
         weights of the elements whose generator lands on that element
         with that label."""
-        mul = operator.mul if self.semiring.kind == "arithmetic" else operator.add
+        mul, _ = sr.plain_ops(self.semiring)
         table: dict[tuple[int, int, Optional[str]], Weight] = {}
         for we in self.elements:
             key = (we.gen.sort, we.target, we.gen_label)
@@ -118,16 +117,16 @@ def weight_of_morphism(
     occurrences in phi. With exclude = alpha: A -> dom(phi), only the
     occurrences that do not factor through alpha count.
 
-    Plain integer arithmetic: the weights are legal (validate) and so
-    is every product of them."""
+    Plain operations: the weights are legal (validate) and so is every
+    product of them."""
     if phi.cod != wtg.T:
         raise MorphismError("weight: morphism does not end in T")
     if exclude is not None and exclude.cod != phi.dom:
         raise MorphismError("weight: exclusion morphism does not end in dom(phi)")
     G = phi.dom
-    arithmetic = wtg.semiring.kind == "arithmetic"
+    mul, _ = sr.plain_ops(wtg.semiring)
     table = wtg.weight_table
-    acc = 1 if arithmetic else 0
+    acc = sr.one(wtg.semiring)
     # each element y of G is one occurrence of every weighted element
     # whose generator lands on phi(y) with y's label
     for s in range(len(G.sig.objects)):
@@ -139,17 +138,16 @@ def weight_of_morphism(
             if y not in excluded:
                 w = table.get((s, image[y], lab))
                 if w is not None:
-                    acc = acc * w if arithmetic else acc + w
+                    acc = mul(acc, w)
     return acc
 
 
 def _weight_sum(wtg: WeightedTypeGraph, homs) -> Weight:
     """The semiring sum of the weights of the given morphisms."""
-    k = wtg.semiring
-    weights = (weight_of_morphism(wtg, phi) for phi in homs)
-    if k.kind == "arithmetic":
-        return sum(weights)
-    return (min if k.kind == "tropical" else max)(weights, default=sr.zero(k))
+    _, add = sr.plain_ops(wtg.semiring)
+    return reduce(
+        add, (weight_of_morphism(wtg, phi) for phi in homs), sr.zero(wtg.semiring)
+    )
 
 
 def weight_of_object(wtg: WeightedTypeGraph, G: CGraph) -> Weight:

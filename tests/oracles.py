@@ -9,7 +9,7 @@ interface assignment, which the prover and the checker only compare.
 
 The semiring's addition `s_add`, its sums `s_sum` and its powers
 `s_pow` check that every operand is a value of the semiring; the
-program weighs with plain integer operations once the weights are
+program weighs with `semiring.plain_ops` once the weights are
 validated.
 
 The rest are slower references for what the program computes faster:

@@ -158,14 +158,18 @@ def test_criterion_2_semiring_axioms():
         lt = lambda a, b: sr.s_lt(k, a, b)
         add = lambda a, b: s_add(k, a, b)
         mul = lambda a, b: sr.s_mul(k, a, b)
-        for a, b, c in itertools.product(vals, repeat=3):
-            checked += 1
-            assert add(add(a, b), c) == add(a, add(b, c))
-            assert mul(mul(a, b), c) == mul(a, mul(b, c))
-            assert add(a, b) == add(b, a) and mul(a, b) == mul(b, a)
-            assert mul(a, add(b, c)) == add(mul(a, b), mul(a, c))
-        for a in vals:
-            assert mul(a, zero) == zero and add(a, zero) == a and mul(a, one) == a
+        # the checked operations and the plain ones that weighing uses
+        for p_mul, p_add in ((mul, add), sr.plain_ops(k)):
+            for a, b, c in itertools.product(vals, repeat=3):
+                checked += 1
+                assert p_add(p_add(a, b), c) == p_add(a, p_add(b, c))
+                assert p_mul(p_mul(a, b), c) == p_mul(a, p_mul(b, c))
+                assert p_add(a, b) == p_add(b, a) and p_mul(a, b) == p_mul(b, a)
+                assert p_mul(a, p_add(b, c)) == p_add(p_mul(a, b), p_mul(a, c))
+                assert (p_add(a, b), p_mul(a, b)) == (add(a, b), mul(a, b))
+            for a in vals:
+                assert p_mul(a, zero) == zero and p_add(a, zero) == a
+                assert p_mul(a, one) == a
         for x, xp, y, yp in itertools.product(vals, repeat=4):
             if le(x, xp) and le(y, yp):
                 assert le(add(x, y), add(xp, yp))  # S1

@@ -38,6 +38,10 @@ def test_semiring_distributivity(k, data):
     assert sr.s_mul(k, a, b) == sr.s_mul(k, b, a)
     assert s_add(k, a, sr.zero(k)) == a
     assert sr.s_mul(k, a, sr.zero(k)) == sr.zero(k)
+    mul, add = sr.plain_ops(k)
+    assert mul(a, add(b, c)) == add(mul(a, b), mul(a, c))
+    assert (mul(a, b), add(a, b)) == (sr.s_mul(k, a, b), s_add(k, a, b))
+    assert add(a, sr.zero(k)) == a and mul(a, sr.zero(k)) == sr.zero(k)
 
 
 @given(kinds, st.integers(min_value=0, max_value=12), st.integers(min_value=0, max_value=5))

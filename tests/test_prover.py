@@ -1,8 +1,8 @@
 from __future__ import annotations
 
+import gc
 import itertools
 import random
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -112,8 +112,28 @@ def test_search_limitations_tau_exhausts_small():
     ).warnings)
 
 
+def test_search_leaves_no_reference_cycles():
+    # a cycle through the search state keeps it alive until the cyclic
+    # collector runs, and so raises the peak memory of repeated searches
+    system = load("limitations_tau")
+    gc.collect()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        for kind in SEMIRINGS.values():
+            search_wtg(system.rules, system.framework, kind, SearchBudget(2, 2, 60))
+        gc.collect()
+        kinds = {type(o).__name__ for o in gc.garbage}
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()
+    assert not kinds & {"_Search", "_Problem", "Morphism", "CGraph"}
+
+
 def test_run_strategy_empty_system_is_terminating():
-    system = replace(load("loop_unfolding"), rules=())
+    system = load("loop_unfolding")
+    system.rules = ()
     res = run_strategy(system, DEFAULT_STRATEGY)
     assert res.certificate.verdict == "terminating"
     assert res.certificate.steps == ()
@@ -165,7 +185,7 @@ def test_published_loop_unfolding_assignment_removes_unfold():
         search.val[v] = search.lo[v] = search.hi[v] = value
         search.undecided_mask &= ~problem.bit[v]
         for cid in search.var_cids[v]:
-            search._set_state(cid, search._eval(cid))
+            search._set_state(cid, search._eval(search, cid))
     got = search._leaf(target=1)
     assert got is not None and [e[0] for e in got[0]] == ["unfold"]
 
@@ -421,7 +441,7 @@ def _assign(search, values, cap=None):
             search.undecided_mask |= p.bit[v]
         elif value == ABSENT:
             search.absent_mask |= p.bit[v]
-    return [search._eval(cid) for cid in range(len(search.cons))]
+    return [search._eval(search, cid) for cid in range(len(search.cons))]
 
 
 def _one_step_certificate(system, step):

@@ -1,11 +1,7 @@
 from __future__ import annotations
 
-import dataclasses
-
 import pytest
 
-import dpoterm.sysfile
-from dpoterm.checker import Certificate, check_certificate
 from dpoterm.sysfile import SystemParseError, parse_system_file, system_hash
 
 MINIMAL = """
@@ -43,31 +39,6 @@ def test_hash_changes_with_rules():
     system = parse_system_file(MINIMAL)
     other = parse_system_file(MINIMAL.replace("keep", "other"))
     assert system_hash(system) != system_hash(other)
-
-
-def test_system_is_frozen():
-    system = parse_system_file(MINIMAL)
-    for field in dataclasses.fields(system):
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            setattr(system, field.name, getattr(system, field.name))
-
-
-def test_one_hash_per_parsed_system(monkeypatch):
-    calls = []
-
-    def counted(system):
-        calls.append(system)
-        return system_hash(system)
-
-    monkeypatch.setattr(dpoterm.sysfile, "system_hash", counted)
-    system = parse_system_file(MINIMAL)
-    cert = Certificate(system_hash(system), (), "failed", ("keep",))
-    for _ in range(50):
-        assert check_certificate(system, cert).accepted
-    assert calls == [system]
-    other = parse_system_file(MINIMAL)
-    assert not check_certificate(other, dataclasses.replace(cert, system_hash="0" * 64)).accepted
-    assert len(calls) == 2 and system.hash == other.hash == system_hash(other)
 
 
 def test_map_target_wrong_label():
