@@ -69,10 +69,12 @@ def _run_verified(system: System, cert, seed: int) -> list[str]:
     failures: list[str] = []
     remaining = list(system.rules)
     for idx, step in enumerate(cert.steps, 1):
-        report = verify_step_decompositions(
-            step_wtg(step), remaining, system.framework, seed + idx
+        failures.extend(
+            f"step {idx}: {f}"
+            for f in verify_step_decompositions(
+                step_wtg(step), remaining, system.framework, seed + idx
+            )
         )
-        failures.extend(f"step {idx}: {f}" for f in report.failures)
         remaining = [r for r in remaining if r.name not in step.removed]
     return failures
 

@@ -11,7 +11,7 @@ from typing import Optional
 
 from .graph import CGraph
 from .morphism import Morphism, MorphismError, classify_monicity, enumerate_homs
-from .sysfile import DpoError, Framework, Rule
+from .sysfile import Framework, Rule
 
 
 @dataclass(frozen=True)
@@ -28,10 +28,6 @@ class StepDiagram:
         return self.m.cod
 
     @property
-    def C(self) -> CGraph:
-        return self.u.cod
-
-    @property
     def H(self) -> CGraph:
         return self.w.cod
 
@@ -45,10 +41,6 @@ class OrientedSquare:
     beta: Morphism
     beta_p: Morphism
     alpha_p: Morphism
-
-    @property
-    def A(self) -> CGraph:
-        return self.alpha.dom
 
     @property
     def D(self) -> CGraph:
@@ -159,19 +151,13 @@ def pushout(f: Morphism, g: Morphism) -> tuple[CGraph, Morphism, Morphism]:
 
 
 def pushout_complement(
-    l: Morphism, m: Morphism
+    rule: Rule, m: Morphism
 ) -> Optional[tuple[CGraph, Morphism, Morphism]]:
-    """Complement of K -l-> L -m-> G, or None when the gluing conditions
-    (identification and dangling) fail.
+    """Complement of K -l-> L -m-> G along the rule's left leg, which is
+    (regular) monic as every Rule's is, or None when the gluing
+    conditions (identification and dangling) fail.
     """
-    mono = classify_monicity(l)
-    if not mono["monic"]:
-        raise DpoError("pushout complement requires a monic left leg")
-    if l.dom.sig.has_simple and not mono["regularMonic"]:
-        raise DpoError(
-            "pushout complement requires a regular monic left leg on simple "
-            "signatures"
-        )
+    l = rule.l
     if l.cod != m.dom:
         raise MorphismError("pushout complement: cod(l) != dom(m)")
     K, L, G = l.dom, l.cod, m.cod
@@ -235,7 +221,7 @@ def enumerate_matches(
     for m in enumerate_homs(rule.left, G, mono_only=mono):
         if fw.match_class == "regular-monic" and not classify_monicity(m)["regularMonic"]:
             continue
-        pc = pushout_complement(rule.l, m)
+        pc = pushout_complement(rule, m)
         if pc is None:
             continue
         C, u, l_prime = pc

@@ -1,8 +1,8 @@
 """Finite instances of a signature and isomorphism-aware canonical forms.
 
 Elements of every sort are stored densely (ids 0..n-1). Graphs are value
-objects: equality and hashing ignore the optional element names, which
-exist only for file round-trips and diagnostics.
+objects, valid by construction: equality and hashing ignore the optional
+element names, which exist only for file round-trips and diagnostics.
 """
 from __future__ import annotations
 
@@ -32,6 +32,9 @@ class CGraph:
     names: Optional[tuple[tuple[str, ...], ...]] = field(
         default=None, compare=False, repr=False
     )
+
+    def __post_init__(self):
+        validate_instance(self)
 
     def n(self, s: int) -> int:
         return len(self.args[s])
@@ -105,17 +108,17 @@ class CGraph:
                 args[s].append(tuple(arg_ids))
                 labels[s].append(label)
                 names[s].append(name)
-        g = CGraph(
+        return CGraph(
             sig,
             tuple(tuple(a) for a in args),
             tuple(tuple(l) for l in labels),
             tuple(tuple(n) for n in names),
         )
-        validate_instance(g)
-        return g
 
 
 def validate_instance(g: CGraph) -> None:
+    """Raise GraphError unless g is an instance of its signature; every
+    CGraph runs this when it is built."""
     sig = g.sig
     problems: list[str] = []
     if len(g.args) != len(sig.objects) or len(g.labels) != len(sig.objects):

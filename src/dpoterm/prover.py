@@ -242,11 +242,9 @@ class _Problem:
 
         self.admissible: dict[tuple[int, Optional[str]], bool] = {}
         for key, (shape, gen) in sig.shapes.items():
-            ok = all(
-                check_rule_admissibility(r, fw, [(shape, gen)])["leftWeighable"]
-                for r in rules
+            self.admissible[key] = not any(
+                check_rule_admissibility(r, fw, [(shape, gen)]) for r in rules
             )
-            self.admissible[key] = ok
 
         neutral = sr.one(kind)
         weights = list(sr.legal_weight_values(kind, bits))
@@ -405,9 +403,7 @@ class _Problem:
                 if best_req is None:
                     continue
                 tkc = compose(c, rule.l).maps
-                cid = self.tk_index[ri].get(tkc)
-                if cid is None:
-                    continue
+                cid = self.tk_index[ri][tkc]
                 lk_monic = all(
                     len({c.maps[s][rule.l.maps[s][k]] for k in range(rule.interface.n(s))})
                     == rule.interface.n(s)
@@ -828,7 +824,7 @@ def _tiers(max_cost: int):
     return [b for i, b in enumerate(out) if b <= max_cost and (i == 0 or b > out[i - 1])]
 
 
-def _masked_step(problem: _Problem, entries, removed, val) -> CertStep:
+def _masked_step(problem: _Problem, entries, val) -> CertStep:
     """Materialize the pruned type graph and certificate entries."""
     p = problem
     sig, T = p.sig, p.T
@@ -934,8 +930,8 @@ def search_wtg(
                         )
                     break
             if best is not None:
-                entries, removed, val = best
-                step = _masked_step(problem, entries, removed, val)
+                entries, _, val = best
+                step = _masked_step(problem, entries, val)
                 return SearchOutcome(
                     "found", step, step.removed, tuple(warnings), nodes + search.nodes
                 )

@@ -39,6 +39,9 @@ class ObjectDecl:
 class IndexSignature:
     objects: tuple[ObjectDecl, ...]
 
+    def __post_init__(self):
+        validate_signature(self)
+
     @cached_property
     def index(self) -> dict[str, int]:
         return {o.name: i for i, o in enumerate(self.objects)}
@@ -172,9 +175,7 @@ def parse_signature(text: str) -> IndexSignature:
             simple = True
         decls.append(ObjectDecl(name, args, labels, simple))
 
-    sig = IndexSignature(tuple(decls))
-    validate_signature(sig)
-    return sig
+    return IndexSignature(tuple(decls))
 
 
 def validate_signature(sig: IndexSignature) -> None:

@@ -65,11 +65,15 @@ REGULAR_MONIC = Framework("regular-monic")
 
 @dataclass(frozen=True)
 class Rule:
+    """A DPO rule L <-l- K -r-> R. Construction rejects a left leg that
+    is not monic, or not regular monic on a signature with simple sorts:
+    pushout complements and strong traceability rely on it."""
+
     name: str
     l: Morphism
     r: Morphism
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.l.dom != self.r.dom:
             raise DpoError(f"rule {self.name}: the two legs have different interfaces")
         self.l.validate()
@@ -255,10 +259,9 @@ def parse_system_file(text: str) -> System:
             L, K, R = graph_of("L"), graph_of("K"), graph_of("R")
             lmor = _names_to_morphism(K, L, _parse_map(*parts["l"]), parts["l"][1])
             rmor = _names_to_morphism(K, R, _parse_map(*parts["r"]), parts["r"][1])
-            rule = Rule(head[1], lmor, rmor)
             try:
-                rule.validate()
-            except Exception as e:
+                rule = Rule(head[1], lmor, rmor)
+            except (DpoError, MorphismError) as e:
                 raise SystemParseError(str(e), lineno)
             if any(r.name == rule.name for r in rules):
                 raise SystemParseError(f"duplicate rule {rule.name!r}", lineno)

@@ -20,7 +20,6 @@ from .graph import CGraph, ElementRef
 from .morphism import (
     Morphism,
     MorphismError,
-    classify_monicity,
     enumerate_homs,
     extensions,
     extensions_by_restriction,
@@ -271,41 +270,29 @@ def detect_collapse_epi(rule: Rule) -> bool:
 
 def check_rule_admissibility(
     rule: Rule, fw: Framework, element_domains: Iterable[tuple[CGraph, ElementRef]]
-) -> dict:
-    """Static weighability check for the rule's left squares and
-    boundedness for its right squares, for the given weighted-element
-    domains (representable shapes).
+) -> list[str]:
+    """Why the rule's left squares are not weighable for the given
+    weighted-element domains (representable shapes); empty when they
+    are. Right squares are always bounded above: representable shapes
+    trace along every pushout.
 
-    Right squares are always bounded above: representable shapes trace
-    along every pushout. Left squares need (a) strong traceability,
-    granted by the (regular) monic left leg, (b) matches monic for every
-    domain shape, automatic except under unrestricted matching where the
-    static condition is that at most one morphism from the shape factors
+    Left squares need (a) strong traceability, granted by the (regular)
+    monic left leg every Rule has, (b) matches monic for every domain
+    shape, automatic except under unrestricted matching where the static
+    condition is that at most one morphism from the shape factors
     through l, and (c) l' monic for the shapes outside u, which holds
     for representable domains.
     """
     diagnostics: list[str] = []
-    left_ok = True
-    mono = classify_monicity(rule.l)
-    if not mono["monic"]:
-        left_ok = False
-        diagnostics.append("left leg is not monic (no strong traceability)")
-    elif rule.left.sig.has_simple and not mono["regularMonic"]:
-        left_ok = False
-        diagnostics.append(
-            "left leg is not regular monic on a simple signature "
-            "(no strong traceability)"
-        )
     if fw.match_class == "unrestricted":
         K = rule.interface
         for shape, gen in element_domains:
             s, lab = gen.sort, shape.labels[gen.sort][gen.id]
             n = sum(1 for i in range(K.n(s)) if K.labels[s][i] == lab)
             if n > 1:
-                left_ok = False
                 diagnostics.append(
                     f"unrestricted matches may merge the {n} interface elements "
                     f"of shape {K.sig.objects[s].name}"
                     + (f"[{lab}]" if lab else "")
                 )
-    return {"leftWeighable": left_ok, "rightBounded": True, "diagnostics": diagnostics}
+    return diagnostics

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from dpoterm.graph import CGraph, validate_instance
+from dpoterm.graph import CGraph
 from dpoterm.morphism import Morphism
 from dpoterm.prover import DEFAULT_STRATEGY, run_strategy
 from dpoterm.signature import parse_signature
@@ -80,9 +80,7 @@ def random_host_containing(pattern: CGraph, rng: random.Random, extra_base=2, ex
             args[s].append(tup)
             labels[s].append(lab)
             added += 1
-    g = CGraph(sig, tuple(tuple(a) for a in args), tuple(tuple(l) for l in labels))
-    validate_instance(g)
-    return g
+    return CGraph(sig, tuple(tuple(a) for a in args), tuple(tuple(l) for l in labels))
 
 
 @pytest.fixture

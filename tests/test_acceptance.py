@@ -293,7 +293,7 @@ def test_criterion_4_pushout_morphism_bijection():
         homs_b = enumerate_homs(square.alpha.cod, t)
         homs_c = enumerate_homs(square.beta.cod, t)
         via = compose(square.beta_p, square.alpha)
-        for t_a in enumerate_homs(square.A, t):
+        for t_a in enumerate_homs(square.alpha.dom, t):
             lhs = sum(1 for t_d in homs_d if compose(t_d, via) == t_a)
             rhs = sum(
                 1

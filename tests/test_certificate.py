@@ -283,6 +283,34 @@ def test_prove_and_check_never_call_canonical_key(searched, monkeypatch):
     assert run_strategy(system, DEFAULT_STRATEGY).certificate.verdict == "terminating"
 
 
+def test_reading_and_checking_validates_each_type_graph_once(monkeypatch):
+    """A type graph is validated when it is built, and checking trusts
+    that: reading and checking a pinned certificate validates each step's
+    type graph exactly once."""
+    original = dpoterm.graph.validate_instance
+    validated = []
+
+    def counting(g):
+        validated.append(g)
+        original(g)
+
+    for name, mod in list(sys.modules.items()):
+        if name == "dpoterm" or name.startswith("dpoterm."):
+            for key, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, key, counting)
+    steps = 0
+    for path in sorted((Path(__file__).resolve().parent / "certificates").iterdir()):
+        system = load(path.stem)
+        validated.clear()
+        cert = read_certificate(system.sig, path.read_text())
+        assert check_certificate(system, cert).accepted
+        for step in cert.steps:
+            assert sum(g is step.type_graph for g in validated) == 1, path.name
+            steps += 1
+    assert steps > 0
+
+
 TRUSTED_BASE = {
     "dpoterm",
     "dpoterm.checker",

@@ -1,10 +1,11 @@
 """Library code that only tests reach does not belong in `src/`: every
-top-level function and class of the package must be named by package
-code outside its own definition or by the benchmark, which is only read
-here."""
+top-level function and class of the package, and every method and
+property of its classes, must be named by package code outside its own
+definition or by the benchmark, which is only read here."""
 from __future__ import annotations
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -55,5 +56,40 @@ def test_every_library_definition_is_named_outside_itself():
         and not any(
             name in names for m, j, names in statements if (m, j) != (module, i)
         )
+    ]
+    assert unused == [], "named by nothing in src/ outside itself nor in bench/"
+
+
+def _attribute_uses(node: ast.AST):
+    """Each attribute that node's code reads or writes, once per use."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Attribute):
+            yield sub.attr
+
+
+def test_every_method_is_named_outside_itself():
+    # a method, property or static method counts as used when some
+    # attribute access of its name lies outside its own body (a bare
+    # name is a local or global, never a member); dunders are called by
+    # Python
+    uses: Counter = Counter()
+    methods = []
+    for path in sorted((ROOT / "src" / "dpoterm").glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        uses.update(_attribute_uses(tree))
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for stmt in cls.body:
+                if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)) and not (
+                    stmt.name.startswith("__") and stmt.name.endswith("__")
+                ):
+                    methods.append((path.name, cls.name, stmt))
+    bench = _bench_names()
+    unused = [
+        f"{module}: {cls}.{stmt.name}"
+        for module, cls, stmt in methods
+        if stmt.name not in bench
+        and uses[stmt.name] == Counter(_attribute_uses(stmt))[stmt.name]
     ]
     assert unused == [], "named by nothing in src/ outside itself nor in bench/"

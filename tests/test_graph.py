@@ -24,25 +24,22 @@ def test_validate_ok():
 
 
 def test_validate_dangling():
-    g = CGraph(GRAPH_SIG, (((),), ((0, 1),)), ((None,), (None,)))
     with pytest.raises(GraphError, match="dangling"):
-        validate_instance(g)
+        CGraph(GRAPH_SIG, (((),), ((0, 1),)), ((None,), (None,)))
 
 
 def test_validate_simplicity():
-    g = CGraph(
-        SIMPLE_SIG,
-        (((), ()), ((0, 1), (0, 1))),
-        ((None, None), (None, None)),
-    )
     with pytest.raises(GraphError, match="simplicity"):
-        validate_instance(g)
+        CGraph(
+            SIMPLE_SIG,
+            (((), ()), ((0, 1), (0, 1))),
+            ((None, None), (None, None)),
+        )
 
 
 def test_validate_label():
-    g = CGraph(LABELLED_SIG, (((), ()), ((0, 1),)), ((None, None), ("nope",)))
     with pytest.raises(GraphError, match="label"):
-        validate_instance(g)
+        CGraph(LABELLED_SIG, (((), ()), ((0, 1),)), ((None, None), ("nope",)))
 
 
 def test_canonical_single_nodes():

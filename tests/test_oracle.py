@@ -43,8 +43,8 @@ def _shape_keys(system):
     sig = system.rules[0].left.sig
     keys = {}
     for shape, gen in representable_shapes(sig):
-        ok = all(
-            check_rule_admissibility(r, system.framework, [(shape, gen)])["leftWeighable"]
+        ok = not any(
+            check_rule_admissibility(r, system.framework, [(shape, gen)])
             for r in system.rules
         )
         keys[(gen.sort, shape.labels[gen.sort][gen.id])] = (shape, gen, ok)
@@ -149,8 +149,8 @@ def _mask_has_proof(system, kind, T, present, domains, shape_keys) -> bool:
         )
         if shapes not in admissible:
             domains_used = [shape_keys[key][:2] for key in shapes]
-            admissible[shapes] = all(
-                check_rule_admissibility(r, system.framework, domains_used)["leftWeighable"]
+            admissible[shapes] = not any(
+                check_rule_admissibility(r, system.framework, domains_used)
                 for r in system.rules
             )
         if not admissible[shapes]:

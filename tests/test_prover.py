@@ -480,7 +480,7 @@ def test_leaves_pass_the_checker_and_bounds_bracket_full_assignments():
             got = search._leaf(1)
             if got is not None:
                 leaves += 1
-                step = _masked_step(problem, *got, search.val)
+                step = _masked_step(problem, got[0], search.val)
                 result = check_certificate(system, _one_step_certificate(system, step))
                 assert result.accepted, (kind, size, bits, result.reason)
             for _ in range(3):

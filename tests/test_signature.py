@@ -10,7 +10,6 @@ from dpoterm.signature import (
     SignatureParseError,
     parse_signature,
     representable_shapes,
-    validate_signature,
 )
 from dpoterm.verify import random_instance
 
@@ -54,7 +53,12 @@ def test_duplicate_name():
 
 def test_cycle():
     with pytest.raises(SignatureError, match="cycl"):
-        validate_signature(IndexSignature((ObjectDecl("A", ("A",)),)))
+        IndexSignature((ObjectDecl("A", ("A",)),))
+
+
+def test_constructor_rejects_undeclared_target():
+    with pytest.raises(SignatureError, match="undeclared argument target 'W'"):
+        IndexSignature((ObjectDecl("V"), ObjectDecl("edge", ("W", "V"))))
 
 
 def test_labelled_target_rejected():

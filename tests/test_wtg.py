@@ -22,8 +22,8 @@ from dpoterm.morphism import (
 )
 from dpoterm.semiring import ARITHMETIC, POS_INF, TROPICAL
 from dpoterm.signature import parse_signature, representable_shapes
-from dpoterm.sysfile import MONIC, UNRESTRICTED
-from dpoterm.verify import random_instance, verify_decomposition
+from dpoterm.sysfile import MONIC, UNRESTRICTED, Rule
+from dpoterm.verify import random_instance, verify_decomposition, verify_step_decompositions
 from dpoterm.wtg import (
     WeightedElement,
     WeightedTypeGraph,
@@ -396,7 +396,7 @@ def test_pushout_morphism_bijection(rng):
             continue
         done += 1
         t = random_instance(GRAPH_SIG, rng, max_base=2, max_elems=3)
-        a, b, c, d = square.A, square.alpha.cod, square.beta.cod, square.D
+        a, b, c, d = square.alpha.dom, square.alpha.cod, square.beta.cod, square.D
         via = compose(square.beta_p, square.alpha)
         homs_d = enumerate_homs(d, t)
         homs_b = enumerate_homs(b, t)
@@ -429,7 +429,7 @@ def test_weighing_pushout_objects_formula(rng):
         )
         k = wtg.semiring
         total = sr.zero(k)
-        for t_a in enumerate_homs(square.A, t):
+        for t_a in enumerate_homs(square.alpha.dom, t):
             part_c = sr.zero(k)
             for t_c in enumerate_homs(square.beta.cod, t):
                 if compose(t_c, square.beta) == t_a:
@@ -478,3 +478,22 @@ def test_decreasing_steps_weak_rule(rng):
                 weight_of_object(wtg, diag.G),
             )
     assert checked > 3
+
+
+def test_verified_mode_reports_a_merging_match():
+    # drop deletes the edge between its two interface nodes; weighed on
+    # one looped node of weight 2, an unrestricted match that merges x
+    # and y counts the merged node twice on the left square's bound
+    K = graph(GRAPH_SIG, ["x", "y"])
+    L = graph(GRAPH_SIG, ["x", "y"], [("e", "x", "y")])
+    drop = Rule(
+        "drop",
+        named_map(K, L, {"x": "x", "y": "y"}),
+        named_map(K, K, {"x": "x", "y": "y"}),
+    )
+    T = graph(GRAPH_SIG, ["t"], [("l", "t", "t")])
+    wtg = WeightedTypeGraph(T, (element_at(T, "V", None, 0, 2),), ARITHMETIC)
+    failures = verify_step_decompositions(wtg, [drop], UNRESTRICTED, 0)
+    assert "left square of drop not exact: w=4 bound=8" in failures
+    assert all(f.startswith("left square of drop not exact") for f in failures)
+    assert verify_step_decompositions(wtg, [drop], MONIC, 0) == ()

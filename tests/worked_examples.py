@@ -24,9 +24,7 @@ def rule(name, sig, L, K, R, lmap, rmap):
     Lg = graph(sig, *L)
     Kg = graph(sig, *K)
     Rg = graph(sig, *R)
-    r = Rule(name, named_map(Kg, Lg, lmap), named_map(Kg, Rg, rmap))
-    r.validate()
-    return r
+    return Rule(name, named_map(Kg, Lg, lmap), named_map(Kg, Rg, rmap))
 
 
 def loop_unfolding():
@@ -96,7 +94,6 @@ def simple_fold():
         named_map(Kg, Lg, {"x": "x", "y": "y", "e": "e"}),
         named_map(Kg, Rg, {"x": "xy", "y": "xy", "e": "loop"}),
     )
-    ru.validate()
     T = graph(SIMPLE_SIG, ["txy", "tz"], [("tl", "txy", "txy")])
     wtg = WeightedTypeGraph(T, (element_at(T, "V", None, 0, 1),), TROPICAL)
     closure = named_map(ru.left, T, {"x": "txy", "y": "txy", "e": "tl"})
@@ -289,7 +286,6 @@ def limitations_rules():
         named_map(Kg, Lg, {"x": "x", "y": "y", "z": "z", "o": "o"}),
         named_map(Kg, Rg, {"x": "xy", "y": "xy", "z": "z", "o": "o"}),
     )
-    rho.validate()
 
     Lt = CGraph.build(
         HYPER_SIG,
@@ -330,7 +326,6 @@ def limitations_rules():
         named_map(Kt, Lt, {"x": "x", "y": "y", "z": "z", "sx": "sx", "o": "o"}),
         named_map(Kt, Rt, {"x": "x", "y": "y", "z": "z", "sx": "sx", "o": "o"}),
     )
-    tau.validate()
     return rho, tau
 
 
