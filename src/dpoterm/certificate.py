@@ -1,8 +1,10 @@
-"""Proof certificates: the text and JSON writers and readers.
+"""Proof certificates: the text and JSON writers and their reader.
 
-The readers are outside the trusted base: `checker.check_certificate`
-re-checks every part of a Certificate it relies on, so a misread
-certificate is rejected or is itself a valid proof.
+The reader decodes the text form into the fields the JSON form holds,
+and one builder makes the Certificate from either. It is outside the
+trusted base: `checker.check_certificate` re-checks every part of a
+Certificate it relies on, so a misread certificate is rejected or is
+itself a valid proof.
 """
 from __future__ import annotations
 
@@ -10,16 +12,15 @@ import json
 import re
 from typing import Optional
 
-from .checker import (  # check_certificate and step_wtg are re-exported
+from .checker import (  # check_certificate is re-exported
     Certificate,
     CertificateError,
     CertStep,
     RuleEntry,
     check_certificate,
-    step_wtg,
 )
 from .graph import CGraph
-from .sysfile import _parse_graph_block, _parse_map, print_graph_block
+from .sysfile import _parse_map, block_lines, element_row, print_graph_block, read_lines
 
 VERSION = 2
 
@@ -135,22 +136,24 @@ def _fits(value, shape) -> bool:
     return isinstance(value, shape)
 
 
-def certificate_from_json(sig, text: str) -> Certificate:
-    data = json.loads(text)
+def _certificate(sig, data) -> Certificate:
+    """The Certificate that data, decoded from either form into what
+    certificate_to_json writes, describes."""
     if not isinstance(data, dict) or data.get("version") != VERSION:
         raise CertificateError("unsupported certificate version")
     if not _fits(data, _JSON_SHAPE):
-        raise CertificateError("JSON certificate does not have the expected fields")
+        raise CertificateError("certificate does not have the expected fields")
     steps = []
     for st in data["steps"]:
         entries = []
         for e in st["rules"]:
             closure = e.get("closure")
-            if closure and not _fits(list(closure.values()), [str]):
-                raise CertificateError(f"closure of {e['rule']} maps to a non-name")
-            pairs = tuple(sorted(closure.items())) if closure else None
-            entries.append(RuleEntry(e["rule"], e["class"], pairs))
-        tg = CGraph.build(sig, [(r[0], r[1], r[2], tuple(r[3])) for r in st["typeGraph"]])
+            if closure is not None:
+                if not _fits(list(closure.values()), [str]):
+                    raise CertificateError(f"closure of {e['rule']} maps to a non-name")
+                closure = tuple(sorted(closure.items()))
+            entries.append(RuleEntry(e["rule"], e["class"], closure))
+        tg = CGraph.build(sig, st["typeGraph"])
         elements = tuple(_element_row(tg, *e, e) for e in st["elements"])
         steps.append(
             CertStep(st["semiring"], tg, elements, tuple(entries), tuple(st["removed"]))
@@ -160,18 +163,12 @@ def certificate_from_json(sig, text: str) -> Certificate:
     )
 
 
-_RULE_LINE = re.compile(
-    r"^rule\s+([\w'-]+)\s+class\s+([\w'-]+)(?:\s+closure\s+(\{.*\}))?\s*$"
-)
-
-
 def read_certificate(sig, text: str) -> Certificate:
     """The certificate in text, in either form. Malformed input raises
     CertificateError and nothing else."""
     try:
-        if text.lstrip().startswith("{"):
-            return certificate_from_json(sig, text)
-        return _certificate_from_text(sig, text)
+        is_json = text.lstrip().startswith("{")
+        return _certificate(sig, json.loads(text) if is_json else _decode_text(text))
     except CertificateError:
         raise
     # json, SystemParseError, SignatureError and GraphError are ValueErrors;
@@ -180,88 +177,62 @@ def read_certificate(sig, text: str) -> Certificate:
         raise CertificateError(str(e)) from None
 
 
-def _certificate_from_text(sig, text: str) -> Certificate:
-    lines = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        body = raw.split("#", 1)[0].strip()
-        if body:
-            lines.append((body, lineno))
-    if not lines or not lines[0][0].startswith("dpoterm-certificate"):
+_RULE_LINE = re.compile(
+    r"^rule\s+([\w'-]+)\s+class\s+([\w'-]+)(?:\s+closure\s+(\{.*\}))?\s*$"
+)
+_ELEMENT_LINE = re.compile(
+    r"^element\s+([\w'-]+)(?:\s*\[([\w'-]+)\])?\s+([\w'-]+)\s+weight\s+(-?\d+)\s*$"
+)
+
+
+def _decode_text(text: str) -> dict:
+    """The text form decoded into the fields certificate_to_json writes.
+    A line's directive is its whole first word."""
+    lines = read_lines(text)
+    head = lines[0][0].split() if lines else []
+    if head[:1] != ["dpoterm-certificate"]:
         raise CertificateError("missing certificate header")
-    if lines[0][0].split()[1:] != [str(VERSION)]:
+    if head[1:] != [str(VERSION)]:
         raise CertificateError("unsupported certificate version")
-    if len(lines) < 2 or not lines[1][0].startswith("system-hash "):
+    words = lines[1][0].split() if len(lines) > 1 else []
+    if words[:1] != ["system-hash"] or len(words) < 2:
         raise CertificateError("missing system-hash")
-    shash = lines[1][0].split()[1]
-    steps = []
-    verdict = None
-    remaining: tuple[str, ...] = ()
+    data = {"version": VERSION, "systemHash": words[1], "steps": [], "remaining": []}
     i = 2
     while i < len(lines):
-        head, lineno = lines[i]
-        if head == "step":
-            i += 1
-            kind = None
-            tg = None
-            elements = []
-            entries = []
-            removed: tuple[str, ...] = ()
+        body = lines[i][0]
+        word, *args = body.split()
+        i += 1
+        if body == "step":
+            step = {"elements": [], "rules": [], "removed": []}
             while i < len(lines) and lines[i][0] != "end":
                 body, ln = lines[i]
-                if body.startswith("semiring "):
-                    kind = body.split()[1]
-                    i += 1
-                elif body == "typegraph":
-                    i += 1
-                    block = []
-                    while i < len(lines) and lines[i][0] != "end":
-                        block.append(lines[i])
-                        i += 1
-                    if i == len(lines):
-                        raise CertificateError("unterminated typegraph")
-                    i += 1
-                    tg = _parse_graph_block(sig, block, ln)
-                elif body.startswith("element "):
-                    m2 = re.match(
-                        r"element\s+([\w'-]+)(?:\s*\[([\w'-]+)\])?\s+([\w'-]+)"
-                        r"\s+weight\s+(-?\d+)\s*$",
-                        body,
-                    )
-                    if not m2 or tg is None:
-                        raise CertificateError(f"bad element line: {body}")
-                    sort, lab, name, w = m2.groups()
-                    elements.append(_element_row(tg, sort, name, lab, int(w), body))
-                    i += 1
-                elif body.startswith("rule "):
-                    m = _RULE_LINE.match(body)
-                    if not m:
-                        raise CertificateError(f"bad rule line: {body}")
-                    closure = None
-                    if m.group(3):
-                        closure = tuple(sorted(_parse_map(m.group(3), ln).items()))
-                    entries.append(RuleEntry(m.group(1), m.group(2), closure))
-                    i += 1
-                elif body.startswith("removed"):
-                    removed = tuple(body.split()[1:])
-                    i += 1
+                word, *args = body.split()
+                if body == "typegraph":
+                    rows, i = block_lines(lines, i)
+                    step["typeGraph"] = [element_row(t, n) for t, n in rows]
+                    continue
+                i += 1
+                if word == "semiring" and args:
+                    step["semiring"] = args[0]
+                elif word == "element" and (m := _ELEMENT_LINE.match(body)):
+                    sort, lab, name, w = m.groups()
+                    step["elements"].append([sort, name, lab, int(w)])
+                elif word == "rule" and (m := _RULE_LINE.match(body)):
+                    closure = m[3] and _parse_map(m[3], ln)
+                    step["rules"].append({"rule": m[1], "class": m[2], "closure": closure})
+                elif word == "removed":
+                    step["removed"] = args
                 else:
                     raise CertificateError(f"unexpected line in step: {body}")
             if i == len(lines):
                 raise CertificateError("unterminated step")
             i += 1
-            if kind is None or tg is None:
-                raise CertificateError("step misses semiring or typegraph")
-            steps.append(CertStep(kind, tg, tuple(elements), tuple(entries), removed))
-        elif head.startswith("verdict "):
-            verdict = head.split()[1]
-            i += 1
-        elif head.startswith("remaining"):
-            remaining = tuple(re.findall(r"[\w'-]+", head[len("remaining"):]))
-            i += 1
+            data["steps"].append(step)
+        elif word == "verdict" and args:
+            data["verdict"] = args[0]
+        elif word == "remaining":
+            data["remaining"] = re.findall(r"[\w'-]+", body[len(word):])
         else:
-            raise CertificateError(f"unexpected line: {head}")
-    if verdict is None:
-        raise CertificateError("missing verdict")
-    return Certificate(shash, tuple(steps), verdict, remaining)
-
-
+            raise CertificateError(f"unexpected line: {body}")
+    return data

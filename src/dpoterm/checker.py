@@ -17,7 +17,7 @@ from typing import Optional
 
 from . import semiring as sr
 from .graph import CGraph
-from .morphism import compose
+from .morphism import MorphismError, compose
 from .semiring import SEMIRINGS
 from .sysfile import Rule, System, SystemParseError, _names_to_morphism, system_hash
 from .wtg import (
@@ -129,7 +129,8 @@ def check_certificate(system: System, cert: Certificate) -> CheckResult:
                     closure = _names_to_morphism(
                         rule.left, wtg.T, dict(entry.closure), 0
                     )
-                except SystemParseError as e:
+                    closure.validate()
+                except (SystemParseError, MorphismError) as e:
                     return _reject(f"{where}: rule {rule.name}: bad closure ({e})")
                 if not verify_context_closure(closure, rule, system.framework):
                     return _reject(

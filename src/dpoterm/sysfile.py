@@ -122,22 +122,36 @@ _ELEM = re.compile(
 _MAP_PAIR = re.compile(r"([\w'-]+)\s*(?:->|↦)\s*([\w'-]+)")
 
 
-def _parse_graph_block(sig, lines, start) -> CGraph:
-    rows = []
-    for text, lineno in lines:
-        m = _ELEM.match(text)
-        if not m:
-            raise SystemParseError(f"bad element line {text!r}", lineno)
-        args = tuple(a for a in re.split(r"[,\s]+", m.group("args") or "") if a)
-        try:
-            sig.sort(m.group("sort"))
-        except Exception:
-            raise SystemParseError(f"unknown sort {m.group('sort')!r}", lineno)
-        rows.append((m.group("sort"), m.group("name"), m.group("label"), args))
-    try:
-        return CGraph.build(sig, rows)
-    except Exception as e:
-        raise SystemParseError(str(e), start)
+def read_lines(text: str) -> list[tuple[str, int]]:
+    """(text, line number) of each line that is not blank once its '#'
+    comment is cut, stripped."""
+    lines = []
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        body = raw.split("#", 1)[0].strip()
+        if body:
+            lines.append((body, lineno))
+    return lines
+
+
+def block_lines(lines, i: int) -> tuple[list[tuple[str, int]], int]:
+    """The lines after the block header lines[i] up to its `end`, and the
+    index after that `end`."""
+    j = i + 1
+    while j < len(lines) and lines[j][0] != "end":
+        j += 1
+    if j == len(lines):
+        raise SystemParseError("unterminated block", lines[i][1])
+    return lines[i + 1:j], j + 1
+
+
+def element_row(text: str, lineno: int) -> list:
+    """The [sort, name, label, [arg names]] row of an element line, as
+    CGraph.build reads it and certificate_to_json writes it."""
+    m = _ELEM.match(text)
+    if not m:
+        raise SystemParseError(f"bad element line {text!r}", lineno)
+    args = [a for a in re.split(r"[,\s]+", m.group("args") or "") if a]
+    return [m.group("sort"), m.group("name"), m.group("label"), args]
 
 
 def _parse_map(text: str, lineno: int) -> dict[str, str]:
@@ -158,6 +172,7 @@ def _parse_map(text: str, lineno: int) -> dict[str, str]:
 
 
 def _names_to_morphism(dom: CGraph, cod: CGraph, pairs: dict[str, str], lineno: int) -> Morphism:
+    """The map dom -> cod that pairs names; it is not validated."""
     cod_ids: dict[str, tuple[int, int]] = {}
     for s in range(len(cod.sig.objects)):
         for i in range(cod.n(s)):
@@ -179,21 +194,11 @@ def _names_to_morphism(dom: CGraph, cod: CGraph, pairs: dict[str, str], lineno: 
                 )
             row.append(ti)
         maps.append(tuple(row))
-    mor = Morphism(dom, cod, tuple(maps))
-    try:
-        mor.validate()
-    except MorphismError as e:
-        raise SystemParseError(str(e), lineno)
-    return mor
+    return Morphism(dom, cod, tuple(maps))
 
 
 def parse_system_file(text: str) -> System:
-    lines = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        body = raw.split("#", 1)[0].rstrip()
-        if body.strip():
-            lines.append((body.strip(), lineno))
-
+    lines = read_lines(text)
     sig: Optional[IndexSignature] = None
     graphs: dict[str, CGraph] = {}
     rules: list[Rule] = []
@@ -203,16 +208,6 @@ def parse_system_file(text: str) -> System:
     strategy: Optional[str] = None
 
     i = 0
-
-    def block(i: int) -> tuple[list[tuple[str, int]], int]:
-        body = []
-        while i < len(lines) and lines[i][0] != "end":
-            body.append(lines[i])
-            i += 1
-        if i == len(lines):
-            raise SystemParseError("unterminated block", body[0][1] if body else 1)
-        return body, i + 1
-
     while i < len(lines):
         text_i, lineno = lines[i]
         head = text_i.split()
@@ -220,7 +215,7 @@ def parse_system_file(text: str) -> System:
             # graphs parsed under another signature would not compose
             if sig is not None:
                 raise SystemParseError("repeated signature block", lineno)
-            body, i = block(i + 1)
+            body, i = block_lines(lines, i)
             try:
                 sig = parse_signature("\n".join(t for t, _ in body))
             except Exception as e:
@@ -230,16 +225,20 @@ def parse_system_file(text: str) -> System:
                 raise SystemParseError("graph before signature", lineno)
             if len(head) != 2:
                 raise SystemParseError("graph needs exactly one name", lineno)
-            body, i = block(i + 1)
+            body, i = block_lines(lines, i)
             if head[1] in graphs:
                 raise SystemParseError(f"duplicate graph {head[1]!r}", lineno)
-            graphs[head[1]] = _parse_graph_block(sig, body, lineno)
+            rows = [element_row(t, ln) for t, ln in body]
+            try:
+                graphs[head[1]] = CGraph.build(sig, rows)
+            except ValueError as e:
+                raise SystemParseError(str(e), lineno)
         elif head[0] == "rule":
             if sig is None:
                 raise SystemParseError("rule before signature", lineno)
             if len(head) != 2:
                 raise SystemParseError("rule needs exactly one name", lineno)
-            body, i = block(i + 1)
+            body, i = block_lines(lines, i)
             parts: dict[str, tuple[str, int]] = {}
             for t, ln in body:
                 if "=" not in t:

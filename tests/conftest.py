@@ -10,7 +10,7 @@ from dpoterm.graph import CGraph
 from dpoterm.morphism import Morphism
 from dpoterm.prover import DEFAULT_STRATEGY, run_strategy
 from dpoterm.signature import parse_signature
-from dpoterm.sysfile import parse_system_file
+from dpoterm.sysfile import _names_to_morphism, parse_system_file
 
 SYSTEMS = Path(__file__).resolve().parent.parent / "systems"
 
@@ -35,20 +35,7 @@ def graph(sig, nodes, edges=(), sort="edge"):
 
 def named_map(dom: CGraph, cod: CGraph, assignment: dict[str, str]) -> Morphism:
     """Morphism from element-name pairs; every dom element must appear."""
-    cod_ids = {}
-    for s in range(len(cod.sig.objects)):
-        for i in range(cod.n(s)):
-            cod_ids[cod.name_of(s, i)] = (s, i)
-    maps = []
-    for s in range(len(dom.sig.objects)):
-        row = []
-        for i in range(dom.n(s)):
-            tgt = assignment[dom.name_of(s, i)]
-            ts, ti = cod_ids[tgt]
-            assert ts == s, f"{dom.name_of(s, i)} mapped across sorts"
-            row.append(ti)
-        maps.append(tuple(row))
-    m = Morphism(dom, cod, tuple(maps))
+    m = _names_to_morphism(dom, cod, assignment, 0)
     m.validate()
     return m
 

@@ -10,7 +10,14 @@ from pathlib import Path
 import pytest
 
 from dpoterm.certificate import certificate_to_json, read_certificate, write_certificate
-from dpoterm.checker import Certificate, CertStep, RuleEntry, check_certificate, step_wtg
+from dpoterm.checker import (
+    Certificate,
+    CertificateError,
+    CertStep,
+    RuleEntry,
+    check_certificate,
+    step_wtg,
+)
 import dpoterm.graph
 from dpoterm.prover import DEFAULT_STRATEGY, run_strategy
 from dpoterm.sysfile import parse_system_file, print_graph_block, system_hash
@@ -28,6 +35,7 @@ from oracles import (
 )
 
 SYSTEMS = Path(__file__).resolve().parent.parent / "systems"
+PINNED = Path(__file__).resolve().parent / "certificates"
 
 
 def load(name):
@@ -186,11 +194,62 @@ def test_repeated_removal_rejected(proved):
     assert not got.accepted and "twice" in got.reason
 
 
+def test_both_forms_decode_alike():
+    # one builder makes the Certificate of either form
+    for path in sorted(PINNED.glob("*.cert")):
+        sig = load(path.stem).sig
+        cert = read_certificate(sig, path.read_text())
+        assert cert == read_certificate(sig, path.with_suffix(".json").read_text()), path.stem
+        assert write_certificate(cert) == path.read_text()
+
+
+def test_an_empty_closure_reads_and_is_judged_alike_in_both_forms():
+    # a weak entry may carry a closure; an empty one is a closure that
+    # misses every element of the left graph, in either form
+    system = load("limitations")
+    text = (PINNED / "limitations.cert").read_text()
+    text = text.replace("rule tau class weak", "rule tau class weak closure { }")
+    data = json.loads((PINNED / "limitations.json").read_text())
+    (tau,) = [e for e in data["steps"][0]["rules"] if e["rule"] == "tau"]
+    tau["closure"] = {}
+    cert = read_certificate(system.sig, text)
+    assert cert == read_certificate(system.sig, json.dumps(data))
+    assert [e.closure for e in cert.steps[0].entries if e.rule == "tau"] == [()]
+    got = check_certificate(system, cert)
+    assert not got.accepted and "rule tau: bad closure" in got.reason
+
+
+@pytest.mark.parametrize(
+    "line, edited",
+    [("  removed rho", "  removedX rho"), ("remaining { tau }", "remainingX { tau }")],
+    ids=["removed", "remaining"],
+)
+def test_a_directive_is_its_whole_first_word(line, edited):
+    system = load("limitations")
+    text = (PINNED / "limitations.cert").read_text()
+    assert check_certificate(system, read_certificate(system.sig, text)).accepted
+    assert line in text
+    with pytest.raises(CertificateError, match="unexpected line"):
+        read_certificate(system.sig, text.replace(line, edited))
+
+
+def test_a_closure_that_is_no_homomorphism_is_a_bad_closure():
+    # the names resolve, so only validating the closure morphism rejects it
+    system = load("simple_fold")
+    text = (PINNED / "simple_fold.cert").read_text()
+    bad = text.replace("x -> V1, y -> V1", "x -> V0, y -> V1")
+    assert bad != text
+    got = check_certificate(system, read_certificate(system.sig, bad))
+    assert not got.accepted
+    assert "rule fold: bad closure" in got.reason
+    assert "does not commute with argument 0" in got.reason
+
+
 def _pinned_replays():
     """(certificate name, step's weighted type graph, rule) for every
     rule the checker compares at every step of the pinned certificates,
     in the checker's order."""
-    for path in sorted((Path(__file__).resolve().parent / "certificates").glob("*.cert")):
+    for path in sorted(PINNED.glob("*.cert")):
         system = load(path.stem)
         cert = read_certificate(system.sig, path.read_text())
         remaining = {r.name: r for r in system.rules}
@@ -234,7 +293,7 @@ def test_element_at_is_the_unique_constrained_embedding():
     """Every element of every pinned type graph and of the saturated
     graphs at sizes 1-3 of each shipped signature."""
     graphs = []
-    for path in sorted((Path(__file__).resolve().parent / "certificates").glob("*.cert")):
+    for path in sorted(PINNED.glob("*.cert")):
         cert = read_certificate(load(path.stem).sig, path.read_text())
         graphs += [step.type_graph for step in cert.steps]
     for path in sorted(SYSTEMS.glob("*.gts")):
@@ -300,7 +359,7 @@ def test_reading_and_checking_validates_each_type_graph_once(monkeypatch):
                 if value is original:
                     monkeypatch.setattr(mod, key, counting)
     steps = 0
-    for path in sorted((Path(__file__).resolve().parent / "certificates").iterdir()):
+    for path in sorted(PINNED.iterdir()):
         system = load(path.stem)
         validated.clear()
         cert = read_certificate(system.sig, path.read_text())

@@ -1,8 +1,13 @@
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
+from dpoterm.morphism import Morphism
 from dpoterm.sysfile import SystemParseError, parse_system_file, system_hash
+
+SYSTEMS = Path(__file__).resolve().parent.parent / "systems"
 
 MINIMAL = """
 signature
@@ -141,8 +146,25 @@ end
 
 framework monic
 """
-    with pytest.raises(SystemParseError, match="commute"):
+    with pytest.raises(SystemParseError, match="commute") as err:
         parse_system_file(text)
+    # the rule validates its legs, so the error is at the rule's line
+    assert err.value.line == 19
+
+
+def test_parsing_validates_each_rule_leg_once(monkeypatch):
+    original = Morphism.validate
+    calls = []
+
+    def counting(self):
+        calls.append(self)
+        return original(self)
+
+    monkeypatch.setattr(Morphism, "validate", counting)
+    rules = [r for p in sorted(SYSTEMS.glob("*.gts")) for r in parse_system_file(p.read_text()).rules]
+    assert len(rules) == 15
+    assert len(calls) == 30
+    assert {id(m) for m in calls} == {id(m) for r in rules for m in (r.l, r.r)}
 
 
 def test_unknown_rule_in_relative():
