@@ -7,8 +7,8 @@ each recorded classification, for every morphism from the interface
 into the step's type graph. It re-checks everything it relies on, so a
 Certificate needs no trusted reader: names must resolve, weights must
 be legal, closures are validated, and the entries must cover exactly
-the remaining rules. Type graphs and rules validate themselves when
-built.
+the remaining rules. Type graphs, rules and weighted type graphs
+validate themselves when built.
 """
 from __future__ import annotations
 
@@ -22,6 +22,7 @@ from .semiring import SEMIRINGS
 from .sysfile import Rule, System, SystemParseError, _names_to_morphism, system_hash
 from .wtg import (
     WeightedTypeGraph,
+    WtgError,
     check_rule_admissibility,
     element_at,
     side_comparisons,
@@ -86,12 +87,10 @@ def step_wtg(step: CertStep) -> WeightedTypeGraph:
             elements.append(element_at(T, sort, T.labels[s][i], i, w))
         except ValueError as e:
             raise CertificateError(f"bad weighted element: {e}") from None
-    wtg = WeightedTypeGraph(T, tuple(elements), SEMIRINGS[step.semiring_kind])
     try:
-        wtg.validate()
-    except ValueError as e:
+        return WeightedTypeGraph(T, tuple(elements), SEMIRINGS[step.semiring_kind])
+    except WtgError as e:
         raise CertificateError(str(e)) from None
-    return wtg
 
 
 def check_certificate(system: System, cert: Certificate) -> CheckResult:
@@ -115,7 +114,7 @@ def check_certificate(system: System, cert: Certificate) -> CheckResult:
             return _reject(f"{where}: removes no rule")
         if len(set(step.removed)) < len(step.removed):
             return _reject(f"{where}: lists a removed rule twice")
-        domains = [(we.shape, we.gen) for we in wtg.elements]
+        domains = [(we.sort, wtg.T.labels[we.sort][we.target]) for we in wtg.elements]
         for entry in step.entries:
             rule = remaining[entry.rule]
             problems = check_rule_admissibility(rule, system.framework, domains)

@@ -19,12 +19,6 @@ class GraphError(ValueError):
 
 
 @dataclass(frozen=True)
-class ElementRef:
-    sort: int
-    id: int
-
-
-@dataclass(frozen=True)
 class CGraph:
     sig: IndexSignature
     args: tuple[tuple[tuple[int, ...], ...], ...]
@@ -229,33 +223,3 @@ def canonical_key(g: CGraph) -> bytes:
     rec(0, {}, [g.counts])
     return repr(best[0]).encode()
 
-
-def complete_type_graph(sig: IndexSignature, node_counts: dict[str, int]) -> CGraph:
-    """The saturated graph: the given base elements, then exactly one
-    element per (argument tuple, label) for every non-base sort, built
-    in topological order so higher arities range over everything
-    already constructed.
-    """
-    counts = [0] * len(sig.objects)
-    args: list[list[tuple[int, ...]]] = [[] for _ in sig.objects]
-    labels: list[list[Optional[str]]] = [[] for _ in sig.objects]
-    for s in sig.base_sorts:
-        name = sig.objects[s].name
-        if sig.objects[s].labels:
-            raise GraphError(f"labelled base sort {name!r} has no saturated form")
-        cnt = node_counts.get(name, 0)
-        if cnt < 1:
-            raise GraphError(f"base sort {name!r} needs a positive count")
-        counts[s] = cnt
-        args[s] = [()] * cnt
-        labels[s] = [None] * cnt
-    for s in sig.topo_order:
-        if sig.is_base(s):
-            continue
-        targets = sig.arg_sorts(s)
-        for tup in itertools.product(*(range(counts[t]) for t in targets)):
-            for lab in sig.element_labels(s):
-                args[s].append(tup)
-                labels[s].append(lab)
-        counts[s] = len(args[s])
-    return CGraph(sig, tuple(tuple(a) for a in args), tuple(tuple(l) for l in labels))

@@ -16,14 +16,15 @@ of removable rules, which keeps removal loops short.
 """
 from __future__ import annotations
 
+import itertools
 import re
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from . import semiring as sr
 from .checker import Certificate, CertStep, RuleEntry
-from .graph import CGraph, complete_type_graph
+from .graph import CGraph, GraphError
 from .morphism import (
     Morphism,
     compose,
@@ -213,6 +214,45 @@ class _Cand:
     monic_on_k: bool
 
 
+def complete_type_graph(sig: IndexSignature, node_counts: dict[str, int]) -> CGraph:
+    """The saturated graph: the given base elements, then exactly one
+    element per (argument tuple, label) for every non-base sort, built
+    in topological order so higher arities range over everything
+    already constructed.
+    """
+    counts = [0] * len(sig.objects)
+    args: list[list[tuple[int, ...]]] = [[] for _ in sig.objects]
+    labels: list[list[Optional[str]]] = [[] for _ in sig.objects]
+    for s in sig.base_sorts:
+        name = sig.objects[s].name
+        if sig.objects[s].labels:
+            raise GraphError(f"labelled base sort {name!r} has no saturated form")
+        cnt = node_counts.get(name, 0)
+        if cnt < 1:
+            raise GraphError(f"base sort {name!r} needs a positive count")
+        counts[s] = cnt
+        args[s] = [()] * cnt
+        labels[s] = [None] * cnt
+    for s in sig.topo_order:
+        if sig.is_base(s):
+            continue
+        targets = sig.arg_sorts(s)
+        for tup in itertools.product(*(range(counts[t]) for t in targets)):
+            for lab in sig.element_labels(s):
+                args[s].append(tup)
+                labels[s].append(lab)
+        counts[s] = len(args[s])
+    return CGraph(sig, tuple(tuple(a) for a in args), tuple(tuple(l) for l in labels))
+
+
+def legal_weight_values(k: SemiringDescriptor, bits: int) -> range:
+    """Weight search domain bounded by the bit budget (bits >= 1, as
+    SearchBudget checks)."""
+    if k.kind == "arithmetic":
+        return range(1, 2**bits + 1)
+    return range(0, 2**bits)
+
+
 class _Problem:
     """Everything precomputed for one (rules, framework, kind, size)."""
 
@@ -240,14 +280,14 @@ class _Problem:
             for i in range(T.n(s))
         ]
 
-        self.admissible: dict[tuple[int, Optional[str]], bool] = {}
-        for key, (shape, gen) in sig.shapes.items():
-            self.admissible[key] = not any(
-                check_rule_admissibility(r, fw, [(shape, gen)]) for r in rules
-            )
+        self.admissible: dict[tuple[int, Optional[str]], bool] = {
+            (s, lab): not any(check_rule_admissibility(r, fw, [(s, lab)]) for r in rules)
+            for s in range(ns)
+            for lab in sig.element_labels(s)
+        }
 
         neutral = sr.one(kind)
-        weights = list(sr.legal_weight_values(kind, bits))
+        weights = list(legal_weight_values(kind, bits))
         self.neutral = neutral
         # one shared domain per (admissible, base) pair
         domains = {

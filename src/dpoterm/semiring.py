@@ -106,11 +106,3 @@ def is_legal_element_weight(k: SemiringDescriptor, w: Weight) -> bool:
         return False
     return w >= 1 if k.kind == "arithmetic" else w >= 0
 
-
-def legal_weight_values(k: SemiringDescriptor, bits: int) -> range:
-    """Weight search domain bounded by the bit budget."""
-    if bits < 1:
-        raise SemiringError("bits must be >= 1")
-    if k.kind == "arithmetic":
-        return range(1, 2**bits + 1)
-    return range(0, 2**bits)

@@ -10,7 +10,7 @@ finite.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
@@ -97,15 +97,6 @@ class IndexSignature:
         """Admissible element labels of a sort; (None,) when unlabelled."""
         labels = self.objects[s].labels
         return labels if labels else (None,)
-
-    @cached_property
-    def shapes(self) -> dict:
-        """(sort, label) -> (shape, generator): representable_shapes,
-        keyed by the generator's sort and label, in the same order."""
-        return {
-            (gen.sort, shape.labels[gen.sort][gen.id]): (shape, gen)
-            for shape, gen in representable_shapes(self)
-        }
 
 
 # names may be numeric so that plain digit labels like 0/1 work
@@ -205,33 +196,3 @@ def validate_signature(sig: IndexSignature) -> None:
     if problems:
         raise SignatureError("; ".join(problems))
 
-
-def representable_shapes(sig: IndexSignature):
-    """One free shape per (sort, label): the graph generated by a single
-    element, closed under argument arrows with fresh elements.
-
-    Returns a list of (CGraph, generator ElementRef) in declaration and
-    label order. These are the only admissible weighted-element domains.
-    """
-    from .graph import CGraph, ElementRef
-
-    shapes = []
-    for s in range(len(sig.objects)):
-        for label in sig.element_labels(s):
-            args: list[list[tuple[int, ...]]] = [[] for _ in sig.objects]
-            labels: list[list[Optional[str]]] = [[] for _ in sig.objects]
-
-            def fresh(t: int, lab: Optional[str]) -> int:
-                arg_ids = tuple(fresh(u, None) for u in sig.arg_sorts(t))
-                args[t].append(arg_ids)
-                labels[t].append(lab)
-                return len(args[t]) - 1
-
-            gen = fresh(s, label)
-            g = CGraph(
-                sig,
-                tuple(tuple(a) for a in args),
-                tuple(tuple(l) for l in labels),
-            )
-            shapes.append((g, ElementRef(s, gen)))
-    return shapes

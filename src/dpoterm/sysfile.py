@@ -58,11 +58,6 @@ class Framework:
             raise DpoError(f"unknown match class {self.match_class!r}")
 
 
-UNRESTRICTED = Framework("unrestricted")
-MONIC = Framework("monic")
-REGULAR_MONIC = Framework("regular-monic")
-
-
 @dataclass(frozen=True)
 class Rule:
     """A DPO rule L <-l- K -r-> R. Construction rejects a left leg that

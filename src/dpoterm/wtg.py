@@ -2,10 +2,11 @@
 comparisons, context closures and the admissibility of weighted-element
 domains.
 
-A weighted element is a morphism from a representable shape into the
-type graph. Because those shapes are free on one generator (validate
-rejects any other shape), occurrence counting reduces to counting
-generator preimages.
+The paper's weighted element is a morphism e: X -> T from a domain X.
+Every domain here is a representable shape, free on one generator, so e
+is fixed by where its generator lands: a weighted element is a weight on
+one type-graph element, and its occurrences in phi: G -> T are the
+elements of G that phi sends onto that element.
 """
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ from typing import Iterable, Optional
 import itertools
 
 from . import semiring as sr
-from .graph import CGraph, ElementRef
+from .graph import CGraph
 from .morphism import (
     Morphism,
     MorphismError,
@@ -35,18 +36,13 @@ class WtgError(ValueError):
 
 @dataclass(frozen=True)
 class WeightedElement:
-    shape: CGraph
-    gen: ElementRef
-    e: Morphism
+    """The weight on element target of the given sort: the morphism from
+    the representable shape of that element's sort and label that sends
+    the generator to target."""
+
+    sort: int
+    target: int
     weight: Weight
-
-    @cached_property
-    def target(self) -> int:
-        return self.e.maps[self.gen.sort][self.gen.id]
-
-    @cached_property
-    def gen_label(self) -> Optional[str]:
-        return self.shape.labels[self.gen.sort][self.gen.id]
 
 
 @dataclass(frozen=True)
@@ -55,58 +51,39 @@ class WeightedTypeGraph:
     elements: tuple[WeightedElement, ...]
     semiring: SemiringDescriptor
 
-    @cached_property
-    def weight_table(self) -> dict[tuple[int, int, Optional[str]], Weight]:
-        """(sort, type-graph id, label) -> the semiring product of the
-        weights of the elements whose generator lands on that element
-        with that label."""
-        mul, _ = sr.plain_ops(self.semiring)
-        table: dict[tuple[int, int, Optional[str]], Weight] = {}
+    def __post_init__(self):
+        T = self.T
         for we in self.elements:
-            key = (we.gen.sort, we.target, we.gen_label)
-            table[key] = mul(table[key], we.weight) if key in table else we.weight
-        return table
-
-    def validate(self) -> None:
-        free = self.T.sig.shapes.values()
-        for we in self.elements:
-            we.e.validate()
-            if we.e.cod != self.T:
+            if not (0 <= we.sort < len(T.sig.objects) and 0 <= we.target < T.n(we.sort)):
                 raise WtgError("weighted element does not land in the type graph")
-            if we.e.dom != we.shape:
-                raise WtgError("weighted element morphism does not start at its shape")
             if not sr.is_legal_element_weight(self.semiring, we.weight):
                 raise WtgError(
                     f"illegal weight {we.weight!r} for the {self.semiring.kind} semiring"
                 )
-            if (we.shape, we.gen) not in free:
-                raise WtgError(
-                    "weighted-element domains must be representable shapes; "
-                    "got a non-representable graph"
-                )
+
+    @cached_property
+    def weight_table(self) -> dict[tuple[int, int], Weight]:
+        """(sort, type-graph id) -> the semiring product of the weights
+        of the elements on that element. A homomorphism preserves
+        labels, so the label of what lands there is the element's own."""
+        mul, _ = sr.plain_ops(self.semiring)
+        table: dict[tuple[int, int], Weight] = {}
+        for we in self.elements:
+            key = (we.sort, we.target)
+            table[key] = mul(table[key], we.weight) if key in table else we.weight
+        return table
 
 
 def element_at(
     T: CGraph, sort_name: str, label: Optional[str], target: int, weight: Weight
 ) -> WeightedElement:
-    """The weighted element whose shape generator lands on the given
-    type-graph element."""
-    sig = T.sig
-    s = sig.sort(sort_name)
-    if (s, label) not in sig.shapes:
-        raise WtgError(f"no representable shape for {sort_name} with label {label!r}")
-    shape, gen = sig.shapes[s, label]
+    """The weighted element on the given type-graph element, which must
+    carry the given label: the generator of the shape for that sort and
+    label embeds only there."""
+    s = T.sig.sort(sort_name)
     if not (0 <= target < T.n(s) and T.labels[s][target] == label):
         raise WtgError(f"no unique embedding of the {sort_name} shape at element {target}")
-    # the shape is a tree of fresh arguments below its generator, so its
-    # only embedding follows T's argument arrows down from the target
-    maps = [[-1] * shape.n(t) for t in range(len(sig.objects))]
-    todo = [(s, gen.id, target)]
-    while todo:
-        t, x, y = todo.pop()
-        maps[t][x] = y
-        todo += zip(sig.arg_sorts(t), shape.args[t][x], T.args[t][y])
-    return WeightedElement(shape, gen, Morphism(shape, T, tuple(map(tuple, maps))), weight)
+    return WeightedElement(s, target, weight)
 
 
 def weight_of_morphism(
@@ -116,8 +93,8 @@ def weight_of_morphism(
     occurrences in phi. With exclude = alpha: A -> dom(phi), only the
     occurrences that do not factor through alpha count.
 
-    Plain operations: the weights are legal (validate) and so is every
-    product of them."""
+    Plain operations: the weights are legal (checked when the weighted
+    type graph is built) and so is every product of them."""
     if phi.cod != wtg.T:
         raise MorphismError("weight: morphism does not end in T")
     if exclude is not None and exclude.cod != phi.dom:
@@ -127,15 +104,14 @@ def weight_of_morphism(
     table = wtg.weight_table
     acc = sr.one(wtg.semiring)
     # each element y of G is one occurrence of every weighted element
-    # whose generator lands on phi(y) with y's label
+    # on phi(y)
     for s in range(len(G.sig.objects)):
         # a free shape's occurrence factors through alpha iff its
         # generator's image lies in alpha's image
         excluded = set(exclude.maps[s]) if exclude is not None else ()
-        image = phi.maps[s]
-        for y, lab in enumerate(G.labels[s]):
+        for y, image in enumerate(phi.maps[s]):
             if y not in excluded:
-                w = table.get((s, image[y], lab))
+                w = table.get((s, image))
                 if w is not None:
                     acc = mul(acc, w)
     return acc
@@ -269,12 +245,12 @@ def detect_collapse_epi(rule: Rule) -> bool:
 
 
 def check_rule_admissibility(
-    rule: Rule, fw: Framework, element_domains: Iterable[tuple[CGraph, ElementRef]]
+    rule: Rule, fw: Framework, element_domains: Iterable[tuple[int, Optional[str]]]
 ) -> list[str]:
-    """Why the rule's left squares are not weighable for the given
-    weighted-element domains (representable shapes); empty when they
-    are. Right squares are always bounded above: representable shapes
-    trace along every pushout.
+    """Why the rule's left squares are not weighable for the weighted
+    elements' domains, given as the (sort, label) of each representable
+    shape; empty when they are. Right squares are always bounded above:
+    representable shapes trace along every pushout.
 
     Left squares need (a) strong traceability, granted by the (regular)
     monic left leg every Rule has, (b) matches monic for every domain
@@ -286,8 +262,7 @@ def check_rule_admissibility(
     diagnostics: list[str] = []
     if fw.match_class == "unrestricted":
         K = rule.interface
-        for shape, gen in element_domains:
-            s, lab = gen.sort, shape.labels[gen.sort][gen.id]
+        for s, lab in element_domains:
             n = sum(1 for i in range(K.n(s)) if K.labels[s][i] == lab)
             if n > 1:
                 diagnostics.append(

@@ -10,13 +10,16 @@ from dpoterm.graph import CGraph
 from dpoterm.morphism import Morphism
 from dpoterm.prover import DEFAULT_STRATEGY, run_strategy
 from dpoterm.signature import parse_signature
-from dpoterm.sysfile import _names_to_morphism, parse_system_file
+from dpoterm.sysfile import Framework, _names_to_morphism, parse_system_file
 
 SYSTEMS = Path(__file__).resolve().parent.parent / "systems"
 
 GRAPH_SIG = parse_signature("V edge(V,V)")
 LABELLED_SIG = parse_signature("V edge[a,b,c,d](V,V)")
 SIMPLE_SIG = parse_signature("V edge(V,V)!")
+
+UNRESTRICTED = Framework("unrestricted")
+MONIC = Framework("monic")
 
 
 def graph(sig, nodes, edges=(), sort="edge"):

@@ -12,13 +12,18 @@ The semiring's addition `s_add`, its sums `s_sum` and its powers
 program weighs with `semiring.plain_ops` once the weights are
 validated.
 
+The paper's weighted element is a morphism e: X -> T from a domain X.
+`representable_shapes` gives the domains the program admits, and
+`element_hom` the unique e from its shape that sends the generator to
+an element of T, which the program records as that element alone.
+
 The rest are slower references for what the program computes faster:
-`brute_force_homs` for `enumerate_homs`, `brute_weight_of_morphism`
-(by definition) and `checked_weight_of_morphism` (per type-graph
-element, with the checked semiring operations) for
-`weight_of_morphism`, `reference_element_at` (the unique constrained
-hom) for `element_at`, and `side_homs` (one constrained enumeration per
-t_K) with `reference_side_comparisons` for the checker's replay.
+`brute_force_homs` for `enumerate_homs`, `brute_weight` (by definition,
+for any element morphisms) with `brute_weight_of_morphism` and
+`checked_weight_of_morphism` (per type-graph element, with the checked
+semiring operations) for `weight_of_morphism`, and `side_homs` (one
+constrained enumeration per t_K) with `reference_side_comparisons` for
+the checker's replay.
 """
 from __future__ import annotations
 
@@ -29,9 +34,9 @@ from dpoterm import semiring as sr
 from dpoterm.graph import CGraph
 from dpoterm.morphism import Morphism, MorphismError, compose, enumerate_homs, extensions
 from dpoterm.semiring import SemiringDescriptor, SemiringError, Weight
-from dpoterm.signature import representable_shapes
+from dpoterm.signature import IndexSignature
 from dpoterm.sysfile import Rule
-from dpoterm.wtg import WeightedElement, WeightedTypeGraph, WtgError, weight_of_morphism
+from dpoterm.wtg import WeightedTypeGraph, WtgError, weight_of_morphism
 
 
 def identity(g: CGraph) -> Morphism:
@@ -106,47 +111,88 @@ def side_homs(
     return extensions(side, t_k)
 
 
-def brute_weight_of_morphism(wtg: WeightedTypeGraph, phi: Morphism) -> Weight:
-    """w(phi) by definition: each weighted element e: X -> T weighs in
-    once per a: X -> dom(phi) with phi∘a = e."""
-    k = wtg.semiring
+def representable_shapes(sig: IndexSignature) -> list[tuple[CGraph, tuple[int, int]]]:
+    """One free shape per (sort, label): the graph generated by a single
+    element, closed under argument arrows with fresh elements, with that
+    generator as (sort, id); in declaration and label order."""
+    shapes = []
+    for s in range(len(sig.objects)):
+        for label in sig.element_labels(s):
+            args: list[list[tuple[int, ...]]] = [[] for _ in sig.objects]
+            labels: list[list[Optional[str]]] = [[] for _ in sig.objects]
+
+            def fresh(t: int, lab: Optional[str]) -> int:
+                arg_ids = tuple(fresh(u, None) for u in sig.arg_sorts(t))
+                args[t].append(arg_ids)
+                labels[t].append(lab)
+                return len(args[t]) - 1
+
+            gen = fresh(s, label)
+            g = CGraph(sig, tuple(tuple(a) for a in args), tuple(tuple(l) for l in labels))
+            shapes.append((g, (s, gen)))
+    return shapes
+
+
+def element_hom(T: CGraph, s: int, label: Optional[str], target: int) -> Morphism:
+    """The unique hom from the representable shape for (s, label) into T
+    that sends the generator to element target of sort s."""
+    for shape, (t, gen) in representable_shapes(T.sig):
+        if t == s and shape.labels[s][gen] == label:
+            homs = enumerate_homs(shape, T, constraint={(s, gen): target})
+            if len(homs) != 1:
+                raise WtgError(
+                    f"no unique embedding of the {T.sig.objects[s].name} shape "
+                    f"at element {target}"
+                )
+            return homs[0]
+    raise WtgError(f"no representable shape for sort {s} with label {label!r}")
+
+
+def brute_weight(
+    k: SemiringDescriptor,
+    elements: list[tuple[Morphism, Weight]],
+    phi: Morphism,
+    exclude: Optional[Morphism] = None,
+) -> Weight:
+    """w(phi) by definition, for weighted elements given as (e: X -> T,
+    weight): each weighs in once per a: X -> dom(phi) with phi∘a = e,
+    and with exclude = alpha only when a does not factor through alpha."""
     acc = sr.one(k)
-    for we in wtg.elements:
-        n = sum(1 for a in enumerate_homs(we.shape, phi.dom) if compose(phi, a) == we.e)
-        acc = sr.s_mul(k, acc, s_pow(k, we.weight, n))
+    for e, weight in elements:
+        n = sum(
+            1
+            for a in enumerate_homs(e.dom, phi.dom)
+            if compose(phi, a) == e
+            and not (exclude is not None and factor_through(a, exclude))
+        )
+        acc = sr.s_mul(k, acc, s_pow(k, weight, n))
     return acc
+
+
+def brute_weight_of_morphism(
+    wtg: WeightedTypeGraph, phi: Morphism, exclude: Optional[Morphism] = None
+) -> Weight:
+    """brute_weight with each element as its hom from its shape."""
+    T = wtg.T
+    elements = [
+        (element_hom(T, we.sort, T.labels[we.sort][we.target], we.target), we.weight)
+        for we in wtg.elements
+    ]
+    return brute_weight(wtg.semiring, elements, phi, exclude)
 
 
 def checked_weight_of_morphism(wtg: WeightedTypeGraph, phi: Morphism) -> Weight:
     """w(phi) as one checked semiring product per element of dom(phi)
-    and weighted element on its image with its label."""
+    and weighted element on its image."""
     k = wtg.semiring
     acc = sr.one(k)
     G = phi.dom
     for s in range(len(G.sig.objects)):
-        for y, lab in enumerate(G.labels[s]):
+        for y in range(G.n(s)):
             for we in wtg.elements:
-                if (we.gen.sort, we.target, we.gen_label) == (s, phi.maps[s][y], lab):
+                if (we.sort, we.target) == (s, phi.maps[s][y]):
                     acc = sr.s_mul(k, acc, we.weight)
     return acc
-
-
-def reference_element_at(
-    T: CGraph, sort_name: str, label: Optional[str], target: int, weight: Weight
-) -> WeightedElement:
-    """element_at as the unique hom from the representable shape into T
-    that sends its generator to target."""
-    sig = T.sig
-    s = sig.sort(sort_name)
-    for shape, gen in representable_shapes(sig):
-        if gen.sort == s and shape.labels[s][gen.id] == label:
-            homs = enumerate_homs(shape, T, constraint={(s, gen.id): target})
-            if len(homs) != 1:
-                raise WtgError(
-                    f"no unique embedding of the {sort_name} shape at element {target}"
-                )
-            return WeightedElement(shape, gen, homs[0], weight)
-    raise WtgError(f"no representable shape for {sort_name} with label {label!r}")
 
 
 def reference_side_comparisons(wtg: WeightedTypeGraph, rule: Rule):

@@ -21,7 +21,6 @@ from dpoterm.graph import CGraph
 from dpoterm.morphism import Morphism, compose, enumerate_homs
 from dpoterm.prover import SearchBudget, search_wtg
 from dpoterm.semiring import ARCTIC, ARITHMETIC, NEG_INF, POS_INF, SEMIRINGS, TROPICAL
-from dpoterm.signature import representable_shapes
 from dpoterm.sysfile import parse_system_file
 from dpoterm.verify import random_instance
 from dpoterm.wtg import (
@@ -33,7 +32,7 @@ from dpoterm.wtg import (
 
 import worked_examples as ex
 from conftest import graph, named_map, random_host_containing
-from oracles import is_x_monic, s_add, side_homs, side_weight
+from oracles import is_x_monic, representable_shapes, s_add, side_homs, side_weight
 
 SYSTEMS = Path(__file__).resolve().parent.parent / "systems"
 

@@ -1,7 +1,8 @@
 """Library code that only tests reach does not belong in `src/`: every
-top-level function and class of the package, and every method and
-property of its classes, must be named by package code outside its own
-definition or by the benchmark, which is only read here."""
+top-level function, class and name bound by assignment in the package,
+and every method and property of its classes, must be named by package
+code outside its own definition or by the benchmark, which is only read
+here."""
 from __future__ import annotations
 
 import ast
@@ -48,6 +49,11 @@ def test_every_library_definition_is_named_outside_itself():
             statements.append((path.name, i, _code_names(stmt)))
             if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 definitions.append((path.name, i, stmt.name))
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                definitions += [
+                    (path.name, i, t.id) for t in targets if isinstance(t, ast.Name)
+                ]
     bench = _bench_names()
     unused = [
         f"{module}: {name}"

@@ -8,10 +8,10 @@ from dpoterm.graph import (
     CGraph,
     GraphError,
     canonical_key,
-    complete_type_graph,
     validate_instance,
 )
 from dpoterm.morphism import enumerate_homs
+from dpoterm.prover import complete_type_graph
 from dpoterm.signature import parse_signature
 from dpoterm.verify import random_instance
 

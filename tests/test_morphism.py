@@ -13,11 +13,17 @@ from dpoterm.morphism import (
     compose,
     enumerate_homs,
 )
-from dpoterm.signature import parse_signature, representable_shapes
+from dpoterm.signature import parse_signature
 from dpoterm.verify import random_instance
 
 from conftest import GRAPH_SIG, LABELLED_SIG, SIMPLE_SIG, graph, named_map
-from oracles import brute_force_homs, factor_through, identity, is_x_monic
+from oracles import (
+    brute_force_homs,
+    factor_through,
+    identity,
+    is_x_monic,
+    representable_shapes,
+)
 
 
 def test_enumerate_point_into_two_nodes():

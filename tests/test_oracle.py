@@ -7,9 +7,10 @@ checker's code: side homs and `weight_of_morphism` for the rule
 comparisons, `verify_context_closure` for the closures and
 `check_rule_admissibility` for the weighted shapes. A budget has a proof
 iff some assignment leaves every rule at least weak and removes one.
-The oracle takes nothing from the prover: its domains come from
-`representable_shapes` and the semiring's legal weights, and it builds
-the masked type graphs itself.
+The oracle takes nothing from the prover's search: its element domains
+come from `oracles.representable_shapes`, the budget's saturated graphs
+and weights from the prover's `complete_type_graph` and
+`legal_weight_values`, and it builds the masked type graphs itself.
 """
 from __future__ import annotations
 
@@ -18,11 +19,15 @@ from pathlib import Path
 from typing import Optional
 
 from dpoterm import semiring as sr
-from dpoterm.graph import CGraph, complete_type_graph
+from dpoterm.graph import CGraph
 from dpoterm.morphism import compose, enumerate_homs
-from dpoterm.prover import SearchBudget, search_wtg
+from dpoterm.prover import (
+    SearchBudget,
+    complete_type_graph,
+    legal_weight_values,
+    search_wtg,
+)
 from dpoterm.semiring import SEMIRINGS
-from dpoterm.signature import representable_shapes
 from dpoterm.sysfile import parse_system_file
 from dpoterm.wtg import (
     WeightedTypeGraph,
@@ -32,22 +37,21 @@ from dpoterm.wtg import (
     weight_of_morphism,
 )
 
-from oracles import s_sum, side_homs
+from oracles import representable_shapes, s_sum, side_homs
 
 SYSTEMS = Path(__file__).resolve().parent.parent / "systems"
 
 
 def _shape_keys(system):
-    """(sort, label) of every representable shape that each rule admits
-    as a weighted-element domain on its own."""
+    """(sort, label) of every representable shape -> whether each rule
+    admits it as a weighted-element domain on its own."""
     sig = system.rules[0].left.sig
     keys = {}
-    for shape, gen in representable_shapes(sig):
-        ok = not any(
-            check_rule_admissibility(r, system.framework, [(shape, gen)])
-            for r in system.rules
+    for shape, (s, gen) in representable_shapes(sig):
+        key = (s, shape.labels[s][gen])
+        keys[key] = not any(
+            check_rule_admissibility(r, system.framework, [key]) for r in system.rules
         )
-        keys[(gen.sort, shape.labels[gen.sort][gen.id])] = (shape, gen, ok)
     return keys
 
 
@@ -104,7 +108,7 @@ class _Constraint:
         return got
 
 
-def _mask_has_proof(system, kind, T, present, domains, shape_keys) -> bool:
+def _mask_has_proof(system, kind, T, present, domains) -> bool:
     TM, new_id = _masked(T, present)
     if TM is None:
         return False
@@ -148,9 +152,8 @@ def _mask_has_proof(system, kind, T, present, domains, shape_keys) -> bool:
             (e[0], TM.labels[e[0]][e[1]]) for e, w in zip(weighted, weights) if w != one
         )
         if shapes not in admissible:
-            domains_used = [shape_keys[key][:2] for key in shapes]
             admissible[shapes] = not any(
-                check_rule_admissibility(r, system.framework, domains_used)
+                check_rule_admissibility(r, system.framework, shapes)
                 for r in system.rules
             )
         if not admissible[shapes]:
@@ -184,7 +187,7 @@ def oracle_has_proof(system, kind, size: int, bits: int, limit: int) -> Optional
     when a size has more than limit assignments."""
     sig = system.rules[0].left.sig
     shape_keys = _shape_keys(system)
-    weights = list(sr.legal_weight_values(kind, bits))
+    weights = list(legal_weight_values(kind, bits))
     one = sr.one(kind)
     for n in range(1, size + 1):
         T = complete_type_graph(sig, {sig.objects[s].name: n for s in sig.base_sorts})
@@ -192,7 +195,7 @@ def oracle_has_proof(system, kind, size: int, bits: int, limit: int) -> Optional
         space = 1
         for s in range(len(sig.objects)):
             for i in range(T.n(s)):
-                values = weights if shape_keys[(s, T.labels[s][i])][2] else [one]
+                values = weights if shape_keys[(s, T.labels[s][i])] else [one]
                 domains[(s, i)] = values
                 space *= len(values) + (not sig.is_base(s))
         if space > limit:
@@ -201,7 +204,7 @@ def oracle_has_proof(system, kind, size: int, bits: int, limit: int) -> Optional
         maskable = sorted(set(domains) - base)
         for keep in itertools.product((True, False), repeat=len(maskable)):
             present = base | {e for e, k in zip(maskable, keep) if k}
-            if _mask_has_proof(system, kind, T, present, domains, shape_keys):
+            if _mask_has_proof(system, kind, T, present, domains):
                 return True
     return False
 

@@ -3,6 +3,7 @@ from __future__ import annotations
 import pytest
 
 from dpoterm import semiring as sr
+from dpoterm.prover import legal_weight_values
 from dpoterm.semiring import ARCTIC, ARITHMETIC, TROPICAL, NEG_INF, POS_INF
 
 from oracles import s_add, s_pow
@@ -54,8 +55,8 @@ def test_element_weight_legality():
 
 
 def test_weight_domains():
-    assert list(sr.legal_weight_values(ARITHMETIC, 2)) == [1, 2, 3, 4]
-    assert list(sr.legal_weight_values(TROPICAL, 2)) == [0, 1, 2, 3]
+    assert list(legal_weight_values(ARITHMETIC, 2)) == [1, 2, 3, 4]
+    assert list(legal_weight_values(TROPICAL, 2)) == [0, 1, 2, 3]
 
 
 def test_well_foundedness_bound():

@@ -9,11 +9,11 @@ from dpoterm.signature import (
     SignatureError,
     SignatureParseError,
     parse_signature,
-    representable_shapes,
 )
 from dpoterm.verify import random_instance
 
 from conftest import GRAPH_SIG
+from oracles import representable_shapes
 
 
 def test_parse_plain_graph():
@@ -70,9 +70,9 @@ def test_shapes_plain_graph():
     shapes = representable_shapes(GRAPH_SIG)
     assert len(shapes) == 2
     node, gen = shapes[0]
-    assert node.counts == (1, 0) and gen.sort == 0
+    assert node.counts == (1, 0) and gen[0] == 0
     edge, gen = shapes[1]
-    assert edge.counts == (2, 1) and gen.sort == 1
+    assert edge.counts == (2, 1) and gen[0] == 1
     assert edge.args[1][0] == (0, 1)
 
 
@@ -81,8 +81,8 @@ def test_shapes_labelled():
     shapes = representable_shapes(sig)
     # one per (sort, label): V, flag[a], flag[b]
     assert len(shapes) == 3
-    flag_a, gen_a = shapes[1]
-    assert flag_a.labels[1][gen_a.id] == "a"
+    flag_a, (_, gen_a) = shapes[1]
+    assert flag_a.labels[1][gen_a] == "a"
     flag_b, _ = shapes[2]
     assert flag_b.labels[1][0] == "b"
     assert flag_a.counts == (1, 1)
@@ -101,8 +101,8 @@ def test_shape_unique_morphism_per_anchor(rng):
     # each shape admits exactly one morphism into a graph per legal image
     # of its generator
     g = random_instance(GRAPH_SIG, rng, max_elems=5)
-    for shape, gen in representable_shapes(GRAPH_SIG):
+    for shape, (s, gen) in representable_shapes(GRAPH_SIG):
         homs = enumerate_homs(shape, g)
-        anchors = {h.maps[gen.sort][gen.id] for h in homs}
+        anchors = {h.maps[s][gen] for h in homs}
         assert len(homs) == len(anchors)
-        assert len(homs) == g.n(gen.sort)
+        assert len(homs) == g.n(s)

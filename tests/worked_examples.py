@@ -8,10 +8,10 @@ from dpoterm.graph import CGraph
 from dpoterm.morphism import Morphism
 from dpoterm.semiring import ARITHMETIC, TROPICAL
 from dpoterm.signature import parse_signature
-from dpoterm.sysfile import MONIC, REGULAR_MONIC, UNRESTRICTED, Rule
+from dpoterm.sysfile import Rule
 from dpoterm.wtg import WeightedTypeGraph, element_at
 
-from conftest import graph, named_map
+from conftest import MONIC, UNRESTRICTED, graph, named_map
 
 GRAPH_SIG = parse_signature("V edge(V,V)")
 STRING_SIG = parse_signature("V edge[a,b,c,d](V,V)")
