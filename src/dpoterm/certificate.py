@@ -20,7 +20,7 @@ from .checker import (  # check_certificate is re-exported
     check_certificate,
 )
 from .graph import CGraph
-from .sysfile import _parse_map, block_lines, element_row, print_graph_block, read_lines
+from .sysfile import NAME, _parse_map, block_lines, element_row, print_graph_block, read_lines
 
 VERSION = 2
 
@@ -178,10 +178,10 @@ def read_certificate(sig, text: str) -> Certificate:
 
 
 _RULE_LINE = re.compile(
-    r"^rule\s+([\w'-]+)\s+class\s+([\w'-]+)(?:\s+closure\s+(\{.*\}))?\s*$"
+    rf"^rule\s+({NAME})\s+class\s+({NAME})(?:\s+closure\s+(\{{.*\}}))?\s*$"
 )
 _ELEMENT_LINE = re.compile(
-    r"^element\s+([\w'-]+)(?:\s*\[([\w'-]+)\])?\s+([\w'-]+)\s+weight\s+(-?\d+)\s*$"
+    rf"^element\s+({NAME})(?:\s*\[({NAME})\])?\s+({NAME})\s+weight\s+(-?\d+)\s*$"
 )
 
 
@@ -232,7 +232,7 @@ def _decode_text(text: str) -> dict:
         elif word == "verdict" and args:
             data["verdict"] = args[0]
         elif word == "remaining":
-            data["remaining"] = re.findall(r"[\w'-]+", body[len(word):])
+            data["remaining"] = re.findall(NAME, body[len(word):])
         else:
             raise CertificateError(f"unexpected line: {body}")
     return data

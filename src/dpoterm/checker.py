@@ -4,7 +4,8 @@ The checker replays every removal step with plain recomputation (no
 search): weight legality, admissibility of the element domains, the
 claimed context closures, and the side-weight comparison demanded by
 each recorded classification, for every morphism from the interface
-into the step's type graph. It re-checks everything it relies on, so a
+into the step's type graph that extends along a rule leg (the others
+weigh zero on both sides). It re-checks everything it relies on, so a
 Certificate needs no trusted reader: names must resolve, weights must
 be legal, closures are validated, and the entries must cover exactly
 the remaining rules. Type graphs, rules and weighted type graphs
@@ -19,12 +20,12 @@ from . import semiring as sr
 from .graph import CGraph
 from .morphism import MorphismError, compose
 from .semiring import SEMIRINGS
-from .sysfile import Rule, System, SystemParseError, _names_to_morphism, system_hash
+from .sysfile import Rule, System, _names_to_morphism, system_hash
 from .wtg import (
+    WeightedElement,
     WeightedTypeGraph,
     WtgError,
     check_rule_admissibility,
-    element_at,
     side_comparisons,
     verify_context_closure,
 )
@@ -78,17 +79,11 @@ def step_wtg(step: CertStep) -> WeightedTypeGraph:
         raise CertificateError("unknown semiring")
     T = step.type_graph
     ids = T.element_ids
-    elements = []
-    for sort, name, w in step.elements:
-        if (sort, name) not in ids:
-            raise CertificateError("weighted element names an unknown element")
-        s, i = ids[(sort, name)]
-        try:
-            elements.append(element_at(T, sort, T.labels[s][i], i, w))
-        except ValueError as e:
-            raise CertificateError(f"bad weighted element: {e}") from None
+    if any((sort, name) not in ids for sort, name, _ in step.elements):
+        raise CertificateError("weighted element names an unknown element")
+    elements = tuple(WeightedElement(*ids[sort, name], w) for sort, name, w in step.elements)
     try:
-        return WeightedTypeGraph(T, tuple(elements), SEMIRINGS[step.semiring_kind])
+        return WeightedTypeGraph(T, elements, SEMIRINGS[step.semiring_kind])
     except WtgError as e:
         raise CertificateError(str(e)) from None
 
@@ -125,11 +120,9 @@ def check_certificate(system: System, cert: Certificate) -> CheckResult:
             closure = None
             if entry.closure is not None:
                 try:
-                    closure = _names_to_morphism(
-                        rule.left, wtg.T, dict(entry.closure), 0
-                    )
+                    closure = _names_to_morphism(rule.left, wtg.T, dict(entry.closure))
                     closure.validate()
-                except (SystemParseError, MorphismError) as e:
+                except MorphismError as e:
                     return _reject(f"{where}: rule {rule.name}: bad closure ({e})")
                 if not verify_context_closure(closure, rule, system.framework):
                     return _reject(
@@ -172,17 +165,14 @@ def _verify_classification(
         return "closureDecreasing needs a strictly monotonic semiring"
     t_kc = compose(closure, rule.l).maps if closure is not None else None
     strict_at_closure = False
-    for t_k, wl, wr, empty in side_comparisons(wtg, rule):
+    for t_k, wl, wr in side_comparisons(wtg, rule):
         strict = sr.s_lt(k, wr, wl)
         if classification == "uniform":
-            if not (strict or empty):
-                return (
-                    f"uniform comparison fails at t_K = {t_k.maps} "
-                    f"({wl} vs {wr})"
-                )
+            if not strict:
+                return f"uniform comparison fails at t_K = {t_k} ({wl} vs {wr})"
         elif not sr.s_le(k, wr, wl):
-            return f"weak comparison fails at t_K = {t_k.maps} ({wl} vs {wr})"
-        if t_k.maps == t_kc and strict:
+            return f"weak comparison fails at t_K = {t_k} ({wl} vs {wr})"
+        if t_k == t_kc and strict:
             strict_at_closure = True
     if classification == "closureDecreasing" and not strict_at_closure:
         return "no strict decrease at the closure t_K"

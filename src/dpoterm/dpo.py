@@ -185,20 +185,9 @@ def pushout_complement(
             for pos, t in enumerate(targets):
                 if G.args[s][j][pos] in delete[t]:
                     return None
-    keep = [sorted(set(range(G.n(s))) - delete[s]) for s in range(ns)]
-    new_id = [{j: x for x, j in enumerate(keep[s])} for s in range(ns)]
-    args = tuple(
-        tuple(
-            tuple(
-                new_id[t][G.args[s][j][pos]]
-                for pos, t in enumerate(sig.arg_sorts(s))
-            )
-            for j in keep[s]
-        )
-        for s in range(ns)
+    C, l_prime, new_id = kept_subgraph(
+        G, [set(range(G.n(s))) - delete[s] for s in range(ns)]
     )
-    labels = tuple(tuple(G.labels[s][j] for j in keep[s]) for s in range(ns))
-    C = CGraph(sig, args, labels)
     u = Morphism(
         K,
         C,
@@ -207,8 +196,28 @@ def pushout_complement(
             for s in range(ns)
         ),
     )
-    l_prime = Morphism(C, G, tuple(tuple(keep[s]) for s in range(ns)))
     return C, u, l_prime
+
+
+def kept_subgraph(G: CGraph, keep) -> tuple[CGraph, Morphism, list[dict[int, int]]]:
+    """The subgraph of G on the kept ids of each sort, numbered in
+    ascending id order, with its inclusion into G and each sort's
+    old-to-new id map. The arguments of a kept element must be kept."""
+    sig = G.sig
+    keep = [sorted(ids) for ids in keep]
+    # every sort is numbered before any argument tuple is built, so the
+    # order in which the signature declares its sorts does not matter
+    new_id = [{j: x for x, j in enumerate(ids)} for ids in keep]
+    args = tuple(
+        tuple(
+            tuple(new_id[t][a] for t, a in zip(sig.arg_sorts(s), G.args[s][j]))
+            for j in ids
+        )
+        for s, ids in enumerate(keep)
+    )
+    labels = tuple(tuple(G.labels[s][j] for j in ids) for s, ids in enumerate(keep))
+    C = CGraph(sig, args, labels)
+    return C, Morphism(C, G, tuple(map(tuple, keep))), new_id
 
 
 def enumerate_matches(

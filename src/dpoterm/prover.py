@@ -24,14 +24,9 @@ from typing import Optional
 
 from . import semiring as sr
 from .checker import Certificate, CertStep, RuleEntry
+from .dpo import kept_subgraph
 from .graph import CGraph, GraphError
-from .morphism import (
-    Morphism,
-    compose,
-    enumerate_homs,
-    extensions_by_restriction,
-    image_elements,
-)
+from .morphism import compose, enumerate_homs, extensions_by_restriction, image_elements
 from .semiring import SEMIRINGS, SemiringDescriptor
 from .signature import IndexSignature
 from .sysfile import Framework, System, system_hash
@@ -374,16 +369,18 @@ class _Problem:
             mask ^= low
         return out
 
-    def _image_mask(self, mor: Morphism) -> int:
+    def _image_mask(self, maps: tuple[tuple[int, ...], ...]) -> int:
         m = 0
-        for s in range(len(self.sig.objects)):
-            for j in mor.maps[s]:
+        for s, row in enumerate(maps):
+            for j in row:
                 m |= self.bit[self.offset[s] + j]
         return m
 
     def _build_constraints(self):
         sig, T = self.sig, self.T
-        # constraint: (rule_idx, tk_support, L_terms, R_terms) with
+        # constraint: (rule_idx, tk_support, L_terms, R_terms), one per
+        # t_K with an extension along l or r (any other weighs zero on
+        # both sides and constrains nothing), with
         # term = (support, factors, k): factors lists each weighed gid once
         # per element mapped onto it, and k counts the homs that gave this
         # identical term, merged in first-occurrence order
@@ -394,22 +391,22 @@ class _Problem:
             sides = [
                 (side, extensions_by_restriction(side, T)) for side in (rule.l, rule.r)
             ]
-            for t_k in enumerate_homs(rule.interface, T):
+            for t_k in {**sides[0][1], **sides[1][1]}:
                 tk_sup = self._image_mask(t_k)
                 terms_by_side = []
                 for side, groups in sides:
                     homs: dict[tuple, int] = {}
-                    for t_y in groups.get(t_k.maps, ()):
+                    for t_y in groups.get(t_k, ()):
                         factors = []
                         for s in range(len(sig.objects)):
                             lab_row = side.cod.labels[s]
                             for i, j in enumerate(t_y.maps[s]):
                                 if self.admissible[(s, lab_row[i])]:
                                     factors.append(self.offset[s] + j)
-                        term = (self._image_mask(t_y), tuple(sorted(factors)))
+                        term = (self._image_mask(t_y.maps), tuple(sorted(factors)))
                         homs[term] = homs.get(term, 0) + 1
                     terms_by_side.append(tuple((*t, k) for t, k in homs.items()))
-                index[t_k.maps] = len(self.constraints)
+                index[t_k] = len(self.constraints)
                 self.constraints.append((ri, tk_sup, terms_by_side[0], terms_by_side[1]))
             self.tk_index.append(index)
 
@@ -868,23 +865,12 @@ def _masked_step(problem: _Problem, entries, val) -> CertStep:
     """Materialize the pruned type graph and certificate entries."""
     p = problem
     sig, T = p.sig, p.T
-    new_id: list[dict[int, int]] = [dict() for _ in sig.objects]
-    args: list[list[tuple[int, ...]]] = [[] for _ in sig.objects]
-    labels: list[list[Optional[str]]] = [[] for _ in sig.objects]
-    for s in range(len(sig.objects)):
-        for i in range(T.n(s)):
-            if val[p.offset[s] + i] == ABSENT:
-                continue
-            new_id[s][i] = len(args[s])
-            args[s].append(
-                tuple(
-                    new_id[t][a]
-                    for t, a in zip(sig.arg_sorts(s), T.args[s][i])
-                )
-            )
-            labels[s].append(T.labels[s][i])
-    masked = CGraph(
-        sig, tuple(tuple(a) for a in args), tuple(tuple(l) for l in labels)
+    masked, _, new_id = kept_subgraph(
+        T,
+        [
+            [i for i in range(T.n(s)) if val[p.offset[s] + i] != ABSENT]
+            for s in range(len(sig.objects))
+        ],
     )
     elements = []
     for s in range(len(sig.objects)):

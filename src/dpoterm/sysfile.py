@@ -109,12 +109,14 @@ class System:
         return tuple(r.name for r in self.rules if r.name not in self.relative)
 
 
+# an element, rule or label name: what the text certificate can carry
+NAME = r"[\w'-]+"
 _ELEM = re.compile(
-    r"^(?P<sort>[\w'-]+)\s+(?P<name>[\w'-]+)"
-    r"(?:\s*\[(?P<label>[\w'-]+)\])?"
+    rf"^(?P<sort>{NAME})\s+(?P<name>{NAME})"
+    rf"(?:\s*\[(?P<label>{NAME})\])?"
     r"(?:\s*\((?P<args>[^)]*)\))?\s*$"
 )
-_MAP_PAIR = re.compile(r"([\w'-]+)\s*(?:->|↦)\s*([\w'-]+)")
+_MAP_PAIR = re.compile(rf"({NAME})\s*(?:->|↦)\s*({NAME})")
 
 
 def read_lines(text: str) -> list[tuple[str, int]]:
@@ -166,7 +168,7 @@ def _parse_map(text: str, lineno: int) -> dict[str, str]:
     return out
 
 
-def _names_to_morphism(dom: CGraph, cod: CGraph, pairs: dict[str, str], lineno: int) -> Morphism:
+def _names_to_morphism(dom: CGraph, cod: CGraph, pairs: dict[str, str]) -> Morphism:
     """The map dom -> cod that pairs names; it is not validated."""
     cod_ids: dict[str, tuple[int, int]] = {}
     for s in range(len(cod.sig.objects)):
@@ -178,15 +180,13 @@ def _names_to_morphism(dom: CGraph, cod: CGraph, pairs: dict[str, str], lineno: 
         for i in range(dom.n(s)):
             name = dom.name_of(s, i)
             if name not in pairs:
-                raise SystemParseError(f"map misses interface element {name!r}", lineno)
+                raise MorphismError(f"map misses interface element {name!r}")
             tgt = pairs[name]
             if tgt not in cod_ids:
-                raise SystemParseError(f"map target {tgt!r} does not exist", lineno)
+                raise MorphismError(f"map target {tgt!r} does not exist")
             ts, ti = cod_ids[tgt]
             if ts != s:
-                raise SystemParseError(
-                    f"{name!r} is mapped across sorts to {tgt!r}", lineno
-                )
+                raise MorphismError(f"{name!r} is mapped across sorts to {tgt!r}")
             row.append(ti)
         maps.append(tuple(row))
     return Morphism(dom, cod, tuple(maps))
@@ -233,6 +233,8 @@ def parse_system_file(text: str) -> System:
                 raise SystemParseError("rule before signature", lineno)
             if len(head) != 2:
                 raise SystemParseError("rule needs exactly one name", lineno)
+            if not re.fullmatch(NAME, head[1]):
+                raise SystemParseError(f"bad rule name {head[1]!r}", lineno)
             body, i = block_lines(lines, i)
             parts: dict[str, tuple[str, int]] = {}
             for t, ln in body:
@@ -250,9 +252,14 @@ def parse_system_file(text: str) -> System:
                 if name not in graphs:
                     raise SystemParseError(f"unknown graph {name!r}", ln)
                 return graphs[name]
+            def leg(key: str, cod: CGraph) -> Morphism:
+                text, ln = parts[key]
+                try:
+                    return _names_to_morphism(K, cod, _parse_map(text, ln))
+                except MorphismError as e:
+                    raise SystemParseError(str(e), ln)
             L, K, R = graph_of("L"), graph_of("K"), graph_of("R")
-            lmor = _names_to_morphism(K, L, _parse_map(*parts["l"]), parts["l"][1])
-            rmor = _names_to_morphism(K, R, _parse_map(*parts["r"]), parts["r"][1])
+            lmor, rmor = leg("l", L), leg("r", R)
             try:
                 rule = Rule(head[1], lmor, rmor)
             except (DpoError, MorphismError) as e:
@@ -273,7 +280,7 @@ def parse_system_file(text: str) -> System:
             if relative_line:
                 raise SystemParseError("repeated relative line", lineno)
             relative_line = lineno
-            names = re.findall(r"[\w'-]+", text_i[len("relative"):].replace("{", " ").replace("}", " "))
+            names = re.findall(NAME, text_i[len("relative"):])
             relative = frozenset(names)
             i += 1
         elif head[0] == "strategy":

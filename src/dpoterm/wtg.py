@@ -130,15 +130,15 @@ def weight_of_object(wtg: WeightedTypeGraph, G: CGraph) -> Weight:
 
 
 def side_comparisons(wtg: WeightedTypeGraph, rule: Rule):
-    """(t_K, w_L, w_R, both sides empty) for every t_K: K -> T, where
-    w_L and w_R sum the weights of t_K's extensions along l and r. Each
-    side's homs into T are enumerated once and grouped by t_K."""
+    """(t_K maps, w_L, w_R) for every t_K: K -> T that extends along l
+    or r, where w_L and w_R sum the weights of its extensions along each.
+    Each side's homs into T are enumerated once and grouped by t_K; any
+    other t_K weighs zero on both sides and passes every classification."""
     lefts = extensions_by_restriction(rule.l, wtg.T)
     rights = extensions_by_restriction(rule.r, wtg.T)
-    for t_k in enumerate_homs(rule.interface, wtg.T):
-        ls = lefts.get(t_k.maps, ())
-        rs = rights.get(t_k.maps, ())
-        yield t_k, _weight_sum(wtg, ls), _weight_sum(wtg, rs), not ls and not rs
+    for t_k in {**lefts, **rights}:
+        ls, rs = lefts.get(t_k, ()), rights.get(t_k, ())
+        yield t_k, _weight_sum(wtg, ls), _weight_sum(wtg, rs)
 
 
 def flower_bases(T: CGraph):

@@ -38,7 +38,7 @@ def graph(sig, nodes, edges=(), sort="edge"):
 
 def named_map(dom: CGraph, cod: CGraph, assignment: dict[str, str]) -> Morphism:
     """Morphism from element-name pairs; every dom element must appear."""
-    m = _names_to_morphism(dom, cod, assignment, 0)
+    m = _names_to_morphism(dom, cod, assignment)
     m.validate()
     return m
 

@@ -23,7 +23,9 @@ for any element morphisms) with `brute_weight_of_morphism` and
 `checked_weight_of_morphism` (per type-graph element, with the checked
 semiring operations) for `weight_of_morphism`, and `side_homs` (one
 constrained enumeration per t_K) with `reference_side_comparisons` for
-the checker's replay.
+the checker's replay. The reference visits every t_K: K -> T and flags
+those with no extension on either side; the replay reads its t_Ks off
+the two side enumerations and so never meets them.
 """
 from __future__ import annotations
 
@@ -196,8 +198,8 @@ def checked_weight_of_morphism(wtg: WeightedTypeGraph, phi: Morphism) -> Weight:
 
 
 def reference_side_comparisons(wtg: WeightedTypeGraph, rule: Rule):
-    """wtg.side_comparisons as one constrained enumeration per t_K,
-    weighed by definition."""
+    """(t_K, w_L, w_R, both sides empty) for every t_K: K -> T, by one
+    constrained enumeration per t_K, weighed by definition."""
     k = wtg.semiring
     for t_k in enumerate_homs(rule.interface, wtg.T):
         ls = side_homs(wtg, rule.l, t_k)

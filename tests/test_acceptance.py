@@ -11,16 +11,12 @@ import time
 from dataclasses import replace
 from pathlib import Path
 
-import pytest
-
 from dpoterm import semiring as sr
-from dpoterm.certificate import write_certificate
-from dpoterm.checker import Certificate, RuleEntry, check_certificate, step_wtg
+from dpoterm.checker import Certificate, check_certificate, step_wtg
 from dpoterm.dpo import OrientedSquare, enumerate_matches, pushout
-from dpoterm.graph import CGraph
 from dpoterm.morphism import Morphism, compose, enumerate_homs
 from dpoterm.prover import SearchBudget, search_wtg
-from dpoterm.semiring import ARCTIC, ARITHMETIC, NEG_INF, POS_INF, SEMIRINGS, TROPICAL
+from dpoterm.semiring import ARCTIC, ARITHMETIC, SEMIRINGS, TROPICAL
 from dpoterm.sysfile import parse_system_file
 from dpoterm.verify import random_instance
 from dpoterm.wtg import (

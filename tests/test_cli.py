@@ -100,6 +100,22 @@ def test_steps_simulator(capsys):
     assert "normal forms reached" in out
 
 
+def test_a_sort_may_be_declared_after_the_sorts_that_use_it(tmp_path, capsys):
+    # loop_unfolding with edge(V,V) declared before V: the pruned type
+    # graph is built without reading an argument sort before it is numbered
+    text = (SYSTEMS / "loop_unfolding.gts").read_text()
+    system = tmp_path / "reordered.gts"
+    system.write_text(text.replace("  V\n  edge(V,V)\n", "  edge(V,V)\n  V\n"))
+    assert system.read_text() != text
+    for form, name in (([], "proof.cert"), (["--json"], "proof.json")):
+        cert = tmp_path / name
+        assert main(["prove", str(system), "--out", str(cert), *form]) == 0
+        assert main(["check", str(system), str(cert)]) == 0
+    assert main(["prove", str(system), "--verified", "--out", str(tmp_path / "v.cert")]) == 0
+    assert main(["steps", str(system), "--graph", "L"]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_prove_unwritable_out_is_input_error(tmp_path, capsys):
     out = tmp_path / "missing" / "c.cert"
     assert main(["prove", str(SYSTEMS / "loop_unfolding.gts"), "--out", str(out)]) == 1

@@ -2,7 +2,8 @@
 top-level function, class and name bound by assignment in the package,
 and every method and property of its classes, must be named by package
 code outside its own definition or by the benchmark, which is only read
-here."""
+here. Every name a module of `src/` or `tests/` imports must be used by
+that module, or, in `src/`, be read by the benchmark."""
 from __future__ import annotations
 
 import ast
@@ -99,3 +100,31 @@ def test_every_method_is_named_outside_itself():
         and uses[stmt.name] == Counter(_attribute_uses(stmt))[stmt.name]
     ]
     assert unused == [], "named by nothing in src/ outside itself nor in bench/"
+
+
+def _unused_imports(tree: ast.Module):
+    """Each name an import statement of tree binds that none of its
+    code reads."""
+    used = {sub.id for sub in ast.walk(tree) if isinstance(sub, ast.Name)}
+    for stmt in ast.walk(tree):
+        if isinstance(stmt, ast.ImportFrom) and stmt.module == "__future__":
+            continue
+        if isinstance(stmt, (ast.Import, ast.ImportFrom)):
+            for alias in stmt.names:
+                bound = alias.asname or alias.name.split(".")[0]
+                if bound not in used:
+                    yield bound
+
+
+def test_every_imported_name_is_used():
+    # a name the package imports only for the benchmark to read from it,
+    # like certificate.check_certificate, counts as used
+    bench = _bench_names()
+    unused = []
+    for path in sorted((ROOT / "src" / "dpoterm").glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        unused += [f"{path.name}: {n}" for n in _unused_imports(tree) if n not in bench]
+    for path in sorted((ROOT / "tests").glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        unused += [f"tests/{path.name}: {n}" for n in _unused_imports(tree)]
+    assert unused == [], "imported but never used"

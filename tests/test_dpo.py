@@ -4,8 +4,8 @@ from typing import Optional
 
 import pytest
 
-from dpoterm.dpo import enumerate_matches, pushout, pushout_complement
-from dpoterm.graph import CGraph, canonical_key
+from dpoterm.dpo import enumerate_matches, kept_subgraph, pushout, pushout_complement
+from dpoterm.graph import canonical_key
 from dpoterm.morphism import Morphism, compose, enumerate_homs
 from dpoterm.signature import parse_signature
 from dpoterm.sysfile import DpoError, Rule
@@ -199,6 +199,20 @@ def test_complement_identity_left_leg():
     c, u, lp = pushout_complement(Rule("id", identity(g), identity(g)), m)
     assert canonical_key(c) == canonical_key(host)
     assert u.maps == m.maps
+
+
+def test_kept_subgraph_numbers_every_sort_before_reading_arguments():
+    # edge is declared before V, so an edge's arguments name ids of a
+    # sort declared after it
+    sig = parse_signature("edge(V,V) V")
+    G = graph(sig, ["1", "2", "3"], [("d", "1", "2"), ("e", "3", "3"), ("f", "2", "1")])
+    E, V = sig.sort("edge"), sig.sort("V")
+    assert (E, V) == (0, 1)
+    C, incl, new_id = kept_subgraph(G, [{1}, {2, 0}])
+    incl.validate()
+    assert incl.maps[V] == (0, 2) and incl.maps[E] == (1,)
+    assert new_id[V] == {0: 0, 2: 1} and new_id[E] == {1: 0}
+    assert C.args[E] == ((1, 1),)
 
 
 def test_complement_dangling():

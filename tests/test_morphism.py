@@ -5,14 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dpoterm.graph import CGraph
-from dpoterm.morphism import (
-    Morphism,
-    MorphismError,
-    classify_monicity,
-    compose,
-    enumerate_homs,
-)
+from dpoterm.morphism import MorphismError, classify_monicity, compose, enumerate_homs
 from dpoterm.signature import parse_signature
 from dpoterm.verify import random_instance
 

@@ -9,6 +9,7 @@ import pytest
 
 from dpoterm.certificate import certificate_to_json, write_certificate
 from dpoterm.checker import Certificate, check_certificate
+from dpoterm.morphism import enumerate_homs, extensions_by_restriction
 from dpoterm.prover import (
     ABSENT,
     Basic,
@@ -347,6 +348,32 @@ def test_node_counts_pin_the_search_tree_where_terms_merge():
         problem = _Problem(system.rules, system.framework, SEMIRINGS["arithmetic"], 1, 2)
         assert sum(len(c[2]) + len(c[3]) for c in problem.constraints) == after
         assert sum(t[2] for c in problem.constraints for t in c[2] + c[3]) == before
+
+
+def test_every_interface_assignment_into_the_saturated_graph_extends_along_l():
+    """Every rule's left leg is monic, so every t_K: K -> T into a
+    saturated graph extends along l, and the search, which keeps one
+    constraint per t_K with an extension along l or r, constrains every
+    t_K. Along r this fails."""
+    no_right = {}
+    for path in sorted(SYSTEMS.glob("*.gts")):
+        system = load(path.stem)
+        for n in (1, 2, 3):
+            problem = _Problem(system.rules, system.framework, SEMIRINGS["arithmetic"], 1, n)
+            T = problem.T
+            for ri, rule in enumerate(system.rules):
+                t_ks = {t_k.maps for t_k in enumerate_homs(rule.interface, T)}
+                assert set(extensions_by_restriction(rule.l, T)) == t_ks, (path.stem, n)
+                assert set(problem.tk_index[ri]) == t_ks, (path.stem, n)
+                if n == 2:
+                    rights = extensions_by_restriction(rule.r, T)
+                    missed, total = no_right.get(path.stem, (0, 0))
+                    no_right[path.stem] = (missed + len(t_ks - set(rights)), total + len(t_ks))
+    # (t_Ks without an extension along r, t_Ks) at size 2
+    assert {k: v for k, v in no_right.items() if v[0]} == {
+        "limitations": (4, 16),
+        "simple_fold": (2, 4),
+    }
 
 
 def test_timeout_is_reported():

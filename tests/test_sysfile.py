@@ -4,7 +4,9 @@ from pathlib import Path
 
 import pytest
 
+from dpoterm.certificate import check_certificate, read_certificate, write_certificate
 from dpoterm.morphism import Morphism
+from dpoterm.prover import DEFAULT_STRATEGY, run_strategy
 from dpoterm.sysfile import SystemParseError, parse_system_file, system_hash
 
 SYSTEMS = Path(__file__).resolve().parent.parent / "systems"
@@ -84,8 +86,29 @@ framework monic
 
 def test_map_missing_element():
     text = MINIMAL.replace("l = { x -> x, y -> y, e -> e }", "l = { x -> x, y -> y }")
-    with pytest.raises(SystemParseError, match="misses interface element"):
+    with pytest.raises(SystemParseError) as err:
         parse_system_file(text)
+    line = text.splitlines().index("  l = { x -> x, y -> y }") + 1
+    assert str(err.value) == f"line {line}: map misses interface element 'e'"
+
+
+@pytest.mark.parametrize("name", ["un.fold", "un/fold", "un:fold", "un{fold}"])
+def test_a_rule_name_the_text_certificate_cannot_carry_is_rejected(name):
+    text = MINIMAL.replace("rule keep", f"rule {name}")
+    with pytest.raises(SystemParseError) as err:
+        parse_system_file(text)
+    line = text.splitlines().index(f"rule {name}") + 1
+    assert str(err.value) == f"line {line}: bad rule name {name!r}"
+
+
+def test_a_rule_name_the_parser_accepts_survives_the_text_certificate():
+    system = parse_system_file(
+        (SYSTEMS / "loop_unfolding.gts").read_text().replace("rule unfold", "rule un'fold-2")
+    )
+    cert = run_strategy(system, DEFAULT_STRATEGY).certificate
+    assert [e.rule for step in cert.steps for e in step.entries] == ["un'fold-2"]
+    assert read_certificate(system.sig, write_certificate(cert)) == cert
+    assert check_certificate(system, cert).accepted
 
 
 def test_nonmonic_left_leg_rejected():

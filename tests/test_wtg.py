@@ -1,25 +1,13 @@
 from __future__ import annotations
 
 import itertools
-import random
 
 from dpoterm import semiring as sr
 from dpoterm.checker import _verify_classification
-from dpoterm.dpo import (
-    OrientedSquare,
-    enumerate_matches,
-    left_square,
-    pushout,
-    right_square,
-)
-from dpoterm.graph import CGraph
-from dpoterm.morphism import (
-    Morphism,
-    compose,
-    enumerate_homs,
-)
+from dpoterm.dpo import OrientedSquare, enumerate_matches, pushout
+from dpoterm.morphism import Morphism, compose, enumerate_homs
 from dpoterm.prover import complete_type_graph
-from dpoterm.semiring import ARITHMETIC, POS_INF, TROPICAL
+from dpoterm.semiring import ARITHMETIC
 from dpoterm.signature import parse_signature
 from dpoterm.sysfile import Rule
 from dpoterm.verify import random_instance, verify_decomposition, verify_step_decompositions
@@ -27,6 +15,7 @@ from dpoterm.wtg import (
     WeightedTypeGraph,
     detect_collapse_epi,
     element_at,
+    side_comparisons,
     verify_context_closure,
     weight_of_morphism,
     weight_of_object,
@@ -217,6 +206,16 @@ def test_classify_tree_rules_t2():
     for r in rules[2:]:
         t_l = enumerate_homs(r.left, T)[0]
         assert strongest_class(wtg, r, t_l) == "uniform"
+
+
+def test_a_t_k_that_extends_only_along_r_fails_every_classification():
+    # without a loop in T the left side of loop unfolding has no image,
+    # while its right side lands on f: at x -> tx, y -> ty, w_L = 0 < w_R = 1
+    ru, _, _, _ = ex.loop_unfolding()
+    T = graph(GRAPH_SIG, ["tx", "ty"], [("f", "tx", "ty")])
+    wtg = WeightedTypeGraph(T, (), ARITHMETIC)
+    assert list(side_comparisons(wtg, ru)) == [(((0, 1), ()), 0, 1)]
+    assert strongest_class(wtg, ru) == "none"
 
 
 def test_classify_morphism_counting_uniform():

@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import replace
 
 from dpoterm.graph import CGraph
-from dpoterm.morphism import Morphism
 from dpoterm.semiring import ARITHMETIC, TROPICAL
 from dpoterm.signature import parse_signature
 from dpoterm.sysfile import Rule
