@@ -7,6 +7,7 @@ element names, which exist only for file round-trips and diagnostics.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Optional, Sequence
@@ -60,9 +61,20 @@ class CGraph:
         return out
 
     def name_of(self, s: int, i: int) -> str:
-        if self.names is not None and i < len(self.names[s]):
-            return self.names[s][i]
-        return f"{self.sig.objects[s].name}{i}"
+        return (self.names or self._generated_names)[s][i]
+
+    @cached_property
+    def _generated_names(self) -> tuple[tuple[str, ...], ...]:
+        """Sort name plus id, primed once per earlier element of that name:
+        element 0 of edge1 is edge10' after element 10 of edge. Unprimed
+        names end in a digit, so a primed name clashes with none."""
+        seen: Counter[str] = Counter()
+        rows = []
+        for s, decl in enumerate(self.sig.objects):
+            plain = [f"{decl.name}{i}" for i in range(self.n(s))]
+            rows.append(tuple(name + "'" * seen[name] for name in plain))
+            seen.update(plain)
+        return tuple(rows)
 
     @staticmethod
     def build(sig: IndexSignature, elements: Iterable[tuple]) -> "CGraph":

@@ -11,8 +11,7 @@ Assignments are explored depth first inside growing cost tiers
 (a weight w costs w − one, absence is free), so sparse low-weight
 certificates are found quickly while exhaustion stays complete. An
 undecided weight is bounded by the heaviest weight its tier still
-affords. Within the successful tier the search then maximizes the number
-of removable rules, which keeps removal loops short.
+affords.
 """
 from __future__ import annotations
 
@@ -198,7 +197,7 @@ class _Timeout(Exception):
 
 
 class _Budget(Exception):
-    """Deterministic node cap for the removal-maximization phase."""
+    """Deterministic node cap of a run given a node_limit."""
 
 
 @dataclass
@@ -909,7 +908,8 @@ def search_wtg(
 ) -> SearchOutcome:
     """Search saturated type graphs of base size 1..budget.size for an
     assignment removing at least one rule; deterministic and complete
-    within the budget."""
+    within the budget. The first leaf of the first tier that has one is
+    the step: it lists every rule its weights remove."""
     if not rules:
         return SearchOutcome("exhausted")
     epi = [detect_collapse_epi(r) for r in rules]
@@ -926,43 +926,20 @@ def search_wtg(
     for n in range(1, budget.size + 1):
         problem = _Problem(rules, fw, kind, budget.bits, n, epi=epi)
         search = _Search(problem, deadline)
-        timed_out = (
-            f"{kind.kind} search at size {n} hit its {budget.timeout_seconds} s timeout"
-        )
         try:
-            best = None
             for tier in _tiers(problem.max_cost):
                 found = search.run(tier, target=1)
                 if found is not None:
-                    best = found
-                    # prefer removing more rules per step; allow slightly
-                    # heavier certificates for that, bounded by a node
-                    # budget so the outcome stays deterministic
-                    cap = min(tier + 2, problem.max_cost)
-                    target = len(found[1]) + 1
-                    try:
-                        while target <= len(rules):
-                            more = search.run(cap, target=target, node_limit=400_000)
-                            if more is None:
-                                break
-                            best = more
-                            target = len(more[1]) + 1
-                    except _Budget:
-                        pass
-                    except _Timeout:
-                        warnings.append(
-                            f"{timed_out} while maximizing removals; "
-                            f"the step kept depends on machine speed"
-                        )
-                    break
-            if best is not None:
-                entries, _, val = best
-                step = _masked_step(problem, entries, val)
-                return SearchOutcome(
-                    "found", step, step.removed, tuple(warnings), nodes + search.nodes
-                )
+                    entries, _, val = found
+                    step = _masked_step(problem, entries, val)
+                    return SearchOutcome(
+                        "found", step, step.removed, tuple(warnings), nodes + search.nodes
+                    )
         except _Timeout:
-            warnings.append(f"{timed_out} before exhausting its budget")
+            warnings.append(
+                f"{kind.kind} search at size {n} hit its {budget.timeout_seconds} s "
+                f"timeout before exhausting its budget"
+            )
             return SearchOutcome(
                 "timeout", warnings=tuple(warnings), nodes=nodes + search.nodes
             )

@@ -277,6 +277,38 @@ def test_a_closure_that_is_no_homomorphism_is_a_bad_closure():
     assert "does not commute with argument 0" in got.reason
 
 
+def test_a_step_still_removes_the_rest_when_one_removed_rule_is_gone():
+    # weights W that remove rules a and b make b strictly decreasing and
+    # every other rule weakly decreasing, so once a is gone W still
+    # removes b: a step that removes one rule is enough, and repeating
+    # the search finishes the job
+    tried = []
+    for path in sorted(PINNED.glob("*.cert")):
+        system = load(path.stem)
+        cert = read_certificate(system.sig, path.read_text())
+        present = system.rules
+        for k, step in enumerate(cert.steps):
+            for gone in step.removed if len(step.removed) >= 2 else ():
+                smaller = replace(system, rules=tuple(r for r in present if r.name != gone))
+                rest = replace(
+                    step,
+                    entries=tuple(e for e in step.entries if e.rule != gone),
+                    removed=tuple(n for n in step.removed if n != gone),
+                )
+                smaller_cert = replace(
+                    cert, system_hash=system_hash(smaller), steps=(rest, *cert.steps[k + 1:])
+                )
+                got = check_certificate(smaller, smaller_cert)
+                assert got.accepted, (path.stem, k, gone, got.reason)
+                tried.append((path.stem, k, gone))
+            present = tuple(r for r in present if r.name not in step.removed)
+    assert tried == [
+        ("tree_counter", k, gone)
+        for k, pair in enumerate((("r1", "r2"), ("r3", "r5"), ("r4", "r6")))
+        for gone in pair
+    ]
+
+
 def _pinned_replays():
     """(certificate name, step's weighted type graph, rule) for every
     rule the checker compares at every step of the pinned certificates,
@@ -313,7 +345,7 @@ def test_replay_matches_the_per_interface_reference():
                 assert got.pop(t_k.maps) == (wl, wr), (stem, rule.name, t_k.maps)
                 compared += 1
         assert got == {}, (stem, rule.name)
-    assert (compared, skipped) == (49, 12)
+    assert (compared, skipped) == (50, 14)
 
 
 def test_plain_weighing_matches_the_checked_semiring_operations():

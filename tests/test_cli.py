@@ -116,6 +116,26 @@ def test_a_sort_may_be_declared_after_the_sorts_that_use_it(tmp_path, capsys):
     assert "Traceback" not in capsys.readouterr().err
 
 
+def test_generated_element_names_stay_unique(tmp_path, capsys):
+    # loop_unfolding over the sorts edge[a..f](V,V) and edge1(V,V): edge
+    # element 10 and edge1 element 0 of the type graph are both edge10 by
+    # sort name plus id
+    text = (SYSTEMS / "loop_unfolding.gts").read_text()
+    system = tmp_path / "edge1.gts"
+    system.write_text(
+        text.replace("  edge(V,V)\n", "  edge[a,b,c,d,e,f](V,V)\n  edge1(V,V)\n")
+        .replace("edge loop (x, x)", "edge loop [a] (x, x)")
+        .replace("edge e (x, y)", "edge e [a] (x, y)")
+    )
+    assert system.read_text().count("[a]") == 2
+    for form, name in (([], "proof.cert"), (["--json"], "proof.json")):
+        cert = tmp_path / name
+        assert main(["prove", str(system), "--out", str(cert), *form]) == 0
+        assert main(["check", str(system), str(cert)]) == 0
+    assert "edge1 edge10'" in (tmp_path / "proof.cert").read_text()
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_prove_unwritable_out_is_input_error(tmp_path, capsys):
     out = tmp_path / "missing" / "c.cert"
     assert main(["prove", str(SYSTEMS / "loop_unfolding.gts"), "--out", str(out)]) == 1

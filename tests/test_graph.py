@@ -18,6 +18,14 @@ from dpoterm.verify import random_instance
 from conftest import GRAPH_SIG, LABELLED_SIG, SIMPLE_SIG, graph
 
 
+def test_generated_names_are_unique_and_change_only_on_a_clash():
+    # e element 10 and e1 element 0 are both e10 by sort name plus id
+    sig = parse_signature("V e(V,V) e1(V,V)")
+    g = CGraph(sig, (((),), ((0, 0),) * 11, ((0, 0),) * 2), ((None,), (None,) * 11, (None,) * 2))
+    names = [g.name_of(s, i) for s in range(3) for i in range(g.n(s))]
+    assert names == ["V0"] + [f"e{i}" for i in range(11)] + ["e10'", "e11"]
+
+
 def test_validate_ok():
     g = graph(GRAPH_SIG, ["x", "y"], [("e", "x", "y")])
     validate_instance(g)
