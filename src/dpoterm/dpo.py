@@ -65,14 +65,9 @@ class _UnionFind:
             x = self.parent[x]
         return x
 
-    def union(self, a: int, b: int) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        if rb < ra:
-            ra, rb = rb, ra
+    def union(self, a: int, b: int) -> None:
+        ra, rb = sorted((self.find(a), self.find(b)))
         self.parent[rb] = ra
-        return True
 
 
 def pushout(f: Morphism, g: Morphism) -> tuple[CGraph, Morphism, Morphism]:
@@ -104,23 +99,21 @@ def pushout(f: Morphism, g: Morphism) -> tuple[CGraph, Morphism, Morphism]:
     def tagged_label(s: int, x: int) -> Optional[str]:
         return B.labels[s][x] if x < off[s] else C.labels[s][x - off[s]]
 
-    changed = True
-    while changed:
-        changed = False
-        for s in range(ns):
-            if not sig.objects[s].simple:
-                continue
-            groups: dict[tuple, int] = {}
-            for x in range(B.n(s) + C.n(s)):
-                key = (
-                    tuple(uf[t].find(a) for t, a in tagged_args(s, x)),
-                    tagged_label(s, x),
-                )
-                if key in groups:
-                    if uf[s].union(groups[key], x):
-                        changed = True
-                else:
-                    groups[key] = x
+    # one pass in topo_order reaches the fixpoint: a merge in sort s
+    # changes only the keys of sorts after s
+    for s in sig.topo_order:
+        if not sig.objects[s].simple:
+            continue
+        groups: dict[tuple, int] = {}
+        for x in range(B.n(s) + C.n(s)):
+            key = (
+                tuple(uf[t].find(a) for t, a in tagged_args(s, x)),
+                tagged_label(s, x),
+            )
+            if key in groups:
+                uf[s].union(groups[key], x)
+            else:
+                groups[key] = x
 
     new_id: list[dict[int, int]] = [{} for _ in range(ns)]
     args: list[list[tuple[int, ...]]] = [[] for _ in range(ns)]

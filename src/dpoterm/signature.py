@@ -21,10 +21,10 @@ class SignatureError(ValueError):
 
 class SignatureParseError(SignatureError):
     def __init__(self, msg: str, pos: int, text: str):
-        line = text.count("\n", 0, pos) + 1
+        self.msg = msg
+        self.line = text.count("\n", 0, pos) + 1
         col = pos - (text.rfind("\n", 0, pos) + 1) + 1
-        super().__init__(f"{msg} (line {line}, column {col})")
-        self.pos = pos
+        super().__init__(f"{msg} (line {self.line}, column {col})")
 
 
 @dataclass(frozen=True)
@@ -75,22 +75,22 @@ class IndexSignature:
     def topo_order(self) -> tuple[int, ...]:
         """Sort indices with every argument target before its source."""
         n = len(self.objects)
-        seen = [0] * n  # 0 unvisited, 1 on stack, 2 done
+        seen = [0] * n  # 0 unvisited, 1 on the path, 2 done
         order: list[int] = []
-
-        def visit(s: int) -> None:
-            if seen[s] == 2:
-                return
-            if seen[s] == 1:
-                raise SignatureError("cyclic argument dependency")
-            seen[s] = 1
-            for t in self.arg_sorts(s):
-                visit(t)
-            seen[s] = 2
-            order.append(s)
-
-        for s in range(n):
-            visit(s)
+        # an explicit stack, so that a long chain of sorts cannot hit the
+        # recursion limit
+        for root in range(n):
+            stack = [root]
+            while stack:
+                s = stack.pop()
+                if seen[s] == 1:
+                    seen[s] = 2
+                    order.append(s)
+                elif not seen[s]:
+                    seen[s] = 1
+                    if any(seen[t] == 1 for t in self.arg_sorts(s)):
+                        raise SignatureError("cyclic argument dependency")
+                    stack += [s, *reversed(self.arg_sorts(s))]
         return tuple(order)
 
     def element_labels(self, s: int) -> tuple[Optional[str], ...]:
@@ -100,72 +100,24 @@ class IndexSignature:
 
 
 # names may be numeric so that plain digit labels like 0/1 work
-_TOKEN = re.compile(r"\s*([A-Za-z_0-9][A-Za-z_0-9'-]*|[()\[\],!])")
-
-
-def _tokenize(text: str) -> list[tuple[str, int]]:
-    toks, pos = [], 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m:
-            if text[pos:].strip():
-                raise SignatureParseError("unexpected character", pos + len(text[pos:]) - len(text[pos:].lstrip()), text)
-            break
-        toks.append((m.group(1), m.start(1)))
-        pos = m.end()
-    return toks
+_NAME = r"[A-Za-z_0-9][A-Za-z_0-9'-]*"
+_NAMES = rf"\s*({_NAME}(?:\s*,\s*{_NAME})*)\s*"
+_DECL = re.compile(rf"({_NAME})(?:\s*\[{_NAMES}\])?(?:\s*\({_NAMES}\))?(\s*!)?\s*")
 
 
 def parse_signature(text: str) -> IndexSignature:
     """Parse whitespace-separated declarations: Name[[l,...]](T,...)[!]."""
-    toks = _tokenize(text)
     decls: list[ObjectDecl] = []
-    i = 0
-
-    def peek() -> Optional[str]:
-        return toks[i][0] if i < len(toks) else None
-
-    def expect_name(what: str) -> str:
-        nonlocal i
-        if i >= len(toks) or toks[i][0] in "()[],!":
-            pos = toks[i][1] if i < len(toks) else len(text)
-            raise SignatureParseError(f"expected {what}", pos, text)
-        name = toks[i][0]
-        i += 1
-        return name
-
-    def expect(tok: str) -> None:
-        nonlocal i
-        if peek() != tok:
-            pos = toks[i][1] if i < len(toks) else len(text)
-            raise SignatureParseError(f"expected {tok!r}", pos, text)
-        i += 1
-
-    def name_list(close: str, what: str) -> tuple[str, ...]:
-        nonlocal i
-        names = [expect_name(what)]
-        while peek() == ",":
-            i += 1
-            names.append(expect_name(what))
-        expect(close)
-        return tuple(names)
-
-    while i < len(toks):
-        name = expect_name("object name")
-        labels: tuple[str, ...] = ()
-        args: tuple[str, ...] = ()
-        simple = False
-        if peek() == "[":
-            i += 1
-            labels = name_list("]", "label")
-        if peek() == "(":
-            i += 1
-            args = name_list(")", "argument sort")
-        if peek() == "!":
-            i += 1
-            simple = True
-        decls.append(ObjectDecl(name, args, labels, simple))
-
+    pos = len(text) - len(text.lstrip())
+    while pos < len(text):
+        m = _DECL.match(text, pos)
+        if not m:
+            rest = text[pos:].split("\n", 1)[0]
+            raise SignatureParseError(f"bad declaration at {rest!r}", pos, text)
+        name, labels, args, simple = m.groups()
+        labels, args = (tuple(re.findall(_NAME, g or "")) for g in (labels, args))
+        decls.append(ObjectDecl(name, args, labels, bool(simple)))
+        pos = m.end()
     return IndexSignature(tuple(decls))
 
 

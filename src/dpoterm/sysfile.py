@@ -33,7 +33,7 @@ from typing import Optional
 
 from .graph import CGraph
 from .morphism import Morphism, MorphismError, classify_monicity
-from .signature import IndexSignature, parse_signature
+from .signature import IndexSignature, SignatureError, SignatureParseError, parse_signature
 
 
 class SystemParseError(ValueError):
@@ -213,7 +213,9 @@ def parse_system_file(text: str) -> System:
             body, i = block_lines(lines, i)
             try:
                 sig = parse_signature("\n".join(t for t, _ in body))
-            except Exception as e:
+            except SignatureParseError as e:
+                raise SystemParseError(e.msg, body[e.line - 1][1])
+            except SignatureError as e:
                 raise SystemParseError(str(e), body[0][1] if body else lineno)
         elif head[0] == "graph":
             if sig is None:

@@ -36,6 +36,8 @@ def random_instance(sig: IndexSignature, rng: random.Random, max_base=4, max_ele
             continue
         targets = sig.arg_sorts(s)
         want = rng.randint(0, max_elems)
+        if not all(args[t] for t in targets):
+            continue  # an empty argument sort leaves s empty
         tries = 0
         while len(args[s]) < want and tries < 50:
             tries += 1

@@ -163,23 +163,19 @@ def saturation_closure(
     """
     sig = T.sig
     sat = set(start)
-    changed = True
-    while changed:
-        changed = False
-        for s in sig.topo_order:
-            if sig.is_base(s):
-                continue
-            targets = sig.arg_sorts(s)
-            pools = [sorted(i for t2, i in sat if t2 == t) for t in targets]
-            for tup in itertools.product(*pools):
-                for lab in sig.element_labels(s):
-                    ids = T.tuple_index.get((s, tup, lab), ())
-                    if not ids:
-                        return None
-                    e = (s, ids[0])
-                    if e not in sat:
-                        sat.add(e)
-                        changed = True
+    # one pass reaches the fixpoint: an element added for sort s is an
+    # argument only of sorts after s in topo_order
+    for s in sig.topo_order:
+        if sig.is_base(s):
+            continue
+        targets = sig.arg_sorts(s)
+        pools = [sorted(i for t2, i in sat if t2 == t) for t in targets]
+        for tup in itertools.product(*pools):
+            for lab in sig.element_labels(s):
+                ids = T.tuple_index.get((s, tup, lab), ())
+                if not ids:
+                    return None
+                sat.add((s, ids[0]))
     return sat
 
 

@@ -476,4 +476,4 @@ def test_checker_imports_only_the_trusted_base():
     loaded = json.loads(out.stdout)
     assert set(loaded) == TRUSTED_BASE
     lines = sum(len(Path(f).read_text().splitlines()) for f in loaded.values())
-    assert lines <= 1575, f"the checker's import closure has {lines} lines"
+    assert lines <= 1525, f"the checker's import closure has {lines} lines"

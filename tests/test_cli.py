@@ -62,6 +62,24 @@ def test_prove_verified_mode(tmp_path, capsys):
     assert code == 0
 
 
+def test_prove_verified_mode_with_an_empty_argument_sort(tmp_path, capsys):
+    # m(e) over e(V,V): a random host graph with no e elements has no m
+    # elements either, instead of drawing an argument from an empty sort
+    system = tmp_path / "marks.gts"
+    system.write_text(
+        "signature\n  V\n  e(V,V)\n  m(e)\nend\n"
+        "graph L\n  V x\n  V y\n  e a (x, y)\n  m k (a)\nend\n"
+        "graph K\n  V x\n  V y\n  e a (x, y)\nend\n"
+        "rule drop\n  L = L\n  K = K\n  R = K\n"
+        "  l = { x -> x, y -> y, a -> a }\n  r = { x -> x, y -> y, a -> a }\nend\n"
+        "framework monic\n"
+    )
+    out = str(tmp_path / "v.cert")
+    for seed in range(6):
+        assert main(["prove", str(system), "--verified", "--seed", str(seed), "--out", out]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_input_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.gts"
     bad.write_text("signature\n  V\nend\n")  # missing framework

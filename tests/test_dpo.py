@@ -5,7 +5,7 @@ from typing import Optional
 import pytest
 
 from dpoterm.dpo import enumerate_matches, kept_subgraph, pushout, pushout_complement
-from dpoterm.graph import canonical_key
+from dpoterm.graph import CGraph, canonical_key
 from dpoterm.morphism import Morphism, compose, enumerate_homs
 from dpoterm.signature import parse_signature
 from dpoterm.sysfile import DpoError, Rule
@@ -56,6 +56,20 @@ def test_pushout_merged_loop_on_simple_graphs():
     d, _, _ = pushout(f, f)
     assert d.counts == (1, 1)
     assert d.args[1][0] == (0, 0)
+
+
+def test_pushout_merge_in_a_lower_simple_sort_merges_a_sort_declared_before_it():
+    # gluing along the nodes merges the parallel simple edges a and b,
+    # and only then do the marks pa and pb share their argument
+    sig = parse_signature("p(e)! e(V,V)! V")
+    nodes = [("V", "x", None, ()), ("V", "y", None, ())]
+    A = CGraph.build(sig, nodes)
+    B = CGraph.build(sig, nodes + [("e", "a", None, ("x", "y")), ("p", "pa", None, ("a",))])
+    C = CGraph.build(sig, nodes + [("e", "b", None, ("x", "y")), ("p", "pb", None, ("b",))])
+    ids = {"x": "x", "y": "y"}
+    d, in_b, in_c = pushout(named_map(A, B, ids), named_map(A, C, ids))
+    assert d.counts == (1, 1, 2)
+    assert in_b.maps == in_c.maps
 
 
 def test_pushout_glue_two_edges_into_path():

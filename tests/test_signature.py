@@ -46,6 +46,13 @@ def test_parse_errors_report_position():
         parse_signature("V edge(V,")
 
 
+def test_a_chain_of_sorts_longer_than_the_recursion_limit_is_ordered():
+    # declared top-down, so every sort waits for the whole chain below it
+    n = 2000
+    sig = parse_signature(" ".join(f"S{i}(S{i - 1})" for i in range(n - 1, 0, -1)) + " S0")
+    assert sig.topo_order == tuple(range(n - 1, -1, -1))
+
+
 def test_duplicate_name():
     with pytest.raises(SignatureError, match="duplicate"):
         parse_signature("V V")

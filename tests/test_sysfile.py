@@ -214,6 +214,17 @@ def test_diagnostics_carry_line_numbers():
         parse_system_file(text)
 
 
+def test_a_signature_parse_error_names_the_file_line_of_its_declaration():
+    # with a comment inside the block, the fault is on the block's third
+    # declaration line but on file line 6
+    text = MINIMAL.replace("  V\n", "  V\n  # labelled edges\n", 1).replace(
+        "edge[a,b](V,V)\n", "edge[a,b](V,V)\n  bad((\n"
+    )
+    with pytest.raises(SystemParseError, match="^line 6: bad declaration at '\\(\\('$") as err:
+        parse_system_file(text)
+    assert err.value.line == 6
+
+
 HASHED_HEAD = """
 signature
   V

@@ -15,6 +15,7 @@ from dpoterm.wtg import (
     WeightedTypeGraph,
     detect_collapse_epi,
     element_at,
+    saturation_closure,
     side_comparisons,
     verify_context_closure,
     weight_of_morphism,
@@ -272,6 +273,24 @@ def test_closure_missing_edge_rejected():
 def test_closure_rejects_unsaturated_collapse():
     ru, fw, wtg, closure = ex.loop_unfolding()
     assert verify_context_closure(closure, ru, MONIC)
+
+
+def test_saturation_closure_is_closed(rng):
+    # the sorts are declared after the sorts that use them
+    sig = parse_signature("g[a,b](f) f(e, V) e(V, V) V")
+    T = complete_type_graph(sig, {"V": 2})
+    elements = [(s, i) for s in range(len(sig.objects)) for i in range(T.n(s))]
+    for _ in range(40):
+        start = set(rng.sample(elements, rng.randint(0, 4)))
+        sat = saturation_closure(T, start)
+        assert start <= sat
+        for s in range(len(sig.objects)):
+            if sig.is_base(s):
+                continue
+            pools = [[i for t, i in sat if t == a] for a in sig.arg_sorts(s)]
+            for tup in itertools.product(*pools):
+                for lab in sig.element_labels(s):
+                    assert any((s, i) in sat for i in T.tuple_index[(s, tup, lab)])
 
 
 def test_decomposition_identity_alpha():
