@@ -20,7 +20,7 @@ from .checker import (  # check_certificate is re-exported
     check_certificate,
 )
 from .graph import CGraph
-from .sysfile import NAME, _parse_map, block_lines, element_row, print_graph_block, read_lines
+from .sysfile import NAME, NAME_SET, _parse_map, block_lines, element_row, print_graph_block, read_lines
 
 VERSION = 2
 
@@ -195,7 +195,7 @@ def _decode_text(text: str) -> dict:
     if head[1:] != [str(VERSION)]:
         raise CertificateError("unsupported certificate version")
     words = lines[1][0].split() if len(lines) > 1 else []
-    if words[:1] != ["system-hash"] or len(words) < 2:
+    if words[:1] != ["system-hash"] or len(words) != 2:
         raise CertificateError("missing system-hash")
     data = {"version": VERSION, "systemHash": words[1], "steps": [], "remaining": []}
     i = 2
@@ -213,7 +213,7 @@ def _decode_text(text: str) -> dict:
                     step["typeGraph"] = [element_row(t, n) for t, n in rows]
                     continue
                 i += 1
-                if word == "semiring" and args:
+                if word == "semiring" and len(args) == 1:
                     step["semiring"] = args[0]
                 elif word == "element" and (m := _ELEMENT_LINE.match(body)):
                     sort, lab, name, w = m.groups()
@@ -229,10 +229,10 @@ def _decode_text(text: str) -> dict:
                 raise CertificateError("unterminated step")
             i += 1
             data["steps"].append(step)
-        elif word == "verdict" and args:
+        elif word == "verdict" and len(args) == 1:
             data["verdict"] = args[0]
-        elif word == "remaining":
-            data["remaining"] = re.findall(NAME, body[len(word):])
+        elif word == "remaining" and (m := NAME_SET.fullmatch(body, len(word))):
+            data["remaining"] = m[1].split()
         else:
             raise CertificateError(f"unexpected line: {body}")
     return data

@@ -118,7 +118,6 @@ def enumerate_homs(
             if G.labels[s][i] != H.labels[s][j]:
                 return []
 
-    index = H.tuple_index
     # the slot plan: (sort, argument slots, label, pin) per element of
     # G, sorts in topological order, ids ascending within a sort
     plan: list[tuple[int, tuple[int, ...], Optional[str], Optional[int]]] = []
@@ -131,65 +130,59 @@ def enumerate_homs(
             arg_slots = tuple(first[t] + a for t, a in zip(targets, G.args[s][i]))
             plan.append((s, arg_slots, G.labels[s][i], pin))
     n = len(plan)
-    img = [-1] * n
-
-    def lookup(k: int) -> tuple[int, ...]:
-        """Slot k's candidates, once its arguments are placed."""
-        s, arg_slots, lab, pin = plan[k]
-        tup = tuple(img[a] for a in arg_slots)
-        if pin is not None:
-            return (pin,) if H.args[s][pin] == tup else ()
-        return index.get((s, tup, lab), ())
-
-    # cands[k] is fixed up front for a base slot, and for a non-base
-    # slot whenever its last argument slot is placed (ready)
-    cands: list[tuple[int, ...]] = [()] * n
-    ready: list[list[int]] = [[] for _ in range(n)]
+    # ready[k + 1] lists the slots whose last argument is slot k, so
+    # ready[0] the base slots; their candidates are fixed once k is placed
+    ready: list[list[int]] = [[] for _ in range(n + 1)]
     for k, (_, arg_slots, _, _) in enumerate(plan):
-        if arg_slots:
-            ready[max(arg_slots)].append(k)
-        else:
-            cands[k] = lookup(k)
-            if not cands[k]:
-                return []
+        ready[max(arg_slots, default=-1) + 1].append(k)
+    img = [-1] * n
+    cands: list[tuple[int, ...]] = [()] * n
+    if not _fix_candidates(H, plan, img, cands, ready[0]):
+        return []
 
-    used: list[set[int]] = [set() for _ in sig.objects]
+    # cursor[k] indexes slot k's next candidate, 0 when k is entered anew
+    cursor = [0] * n
     out: list[Morphism] = []
-
-    def look_ahead(k: int) -> bool:
-        """Fix the candidates of the slots that are ready once slot k is
-        placed; False when one of them has none."""
-        for m in ready[k]:
-            cands[m] = lookup(m)
-            if not cands[m]:
-                return False
-        return True
-
-    def extend(k: int) -> None:
+    k = 0
+    while k >= 0:
         if k == n:
             maps = tuple(
                 tuple(img[first[s] : first[s] + G.n(s)]) for s in range(len(sig.objects))
             )
             out.append(Morphism(G, H, maps))
-            return
-        s = plan[k][0]
-        for j in cands[k]:
-            if mono_only and j in used[s]:
+            k -= 1
+            continue
+        s, c, i = plan[k][0], cands[k], cursor[k]
+        while i < len(c):
+            img[k] = c[i]
+            i += 1
+            # the slots of sort s placed so far are first[s] .. k - 1
+            if mono_only and img[k] in img[first[s] : k]:
                 continue
-            img[k] = j
-            if look_ahead(k):
-                if mono_only:
-                    used[s].add(j)
-                extend(k + 1)
-                if mono_only:
-                    used[s].discard(j)
-
-    extend(0)
-    # extend refers to itself through its closure; without this the
-    # cycle keeps the search state and every Morphism alive until the
-    # cyclic collector runs
-    del extend
+            if _fix_candidates(H, plan, img, cands, ready[k + 1]):
+                break
+        else:
+            cursor[k] = 0
+            k -= 1
+            continue
+        cursor[k] = i
+        k += 1
     return out
+
+
+def _fix_candidates(H: CGraph, plan, img, cands, slots) -> bool:
+    """Fix the candidates of slots whose arguments are placed in img;
+    False when one of them has none."""
+    for k in slots:
+        s, arg_slots, lab, pin = plan[k]
+        tup = tuple(img[a] for a in arg_slots)
+        if pin is None:
+            cands[k] = H.tuple_index.get((s, tup, lab), ())
+        else:
+            cands[k] = (pin,) if H.args[s][pin] == tup else ()
+        if not cands[k]:
+            return False
+    return True
 
 
 def classify_monicity(f: Morphism) -> dict[str, bool]:

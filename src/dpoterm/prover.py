@@ -87,99 +87,79 @@ class Repeat:
     child: object
 
 
-_STRAT_TOKEN = re.compile(r"\s*([A-Za-z_]+|\d+|[();|,=])")
+# one token, matched from the current position: an opening `repeat(` or
+# `(`, a whole basic strategy kind(params), one of ; | ) or the end
+_STRAT_TOKEN = re.compile(
+    r"\s*(?P<tok>(?P<open>repeat\s*\(|\()"
+    r"|(?P<kind>[A-Za-z_]+)\s*\((?P<params>[^()]*)\)|[;|)]|\Z)"
+)
+_PARAM = re.compile(r"\s*([A-Za-z_]+)\s*=\s*(\d+)\s*")
+# _interp recurses once per level of nesting
+MAX_NESTING = 100
+
+
+def _basic(m: re.Match) -> Basic:
+    """The basic strategy of a kind(params) token."""
+    kind, at = m["kind"], m.start("params")
+    if kind not in SEMIRINGS:
+        raise StrategyError(f"unknown strategy {kind!r} at position {m.start('kind')}")
+    params: dict[str, int] = {}
+    for piece in m["params"].split(","):
+        p = _PARAM.fullmatch(m.string, at, at + len(piece))
+        if not p:
+            raise StrategyError(f"expected name=number at position {at}")
+        if p[1] in params:
+            raise StrategyError(f"repeated parameter {p[1]!r} at position {p.start(1)}")
+        params[p[1]] = int(p[2])
+        at += len(piece) + 1
+    if set(params) != {"size", "bits", "timeout"}:
+        raise StrategyError(
+            f"basic strategies take size=, bits=, timeout= at position {m.start('kind')}"
+        )
+    return Basic(kind, SearchBudget(params["size"], params["bits"], params["timeout"]))
 
 
 def parse_strategy(text: str):
-    toks: list[tuple[str, int]] = []
+    """The tree of a strategy text; `|` binds tighter than `;`. The stack
+    holds one frame per open parenthesis, the root first: its opening
+    token and its `;`-separated groups of `|`-alternatives."""
+    stack: list[tuple[str, list[list]]] = [("", [[]])]
+    want_strategy = True
     pos = 0
-    while pos < len(text):
+    while True:
         m = _STRAT_TOKEN.match(text, pos)
         if not m:
-            if text[pos:].strip():
-                raise StrategyError(f"bad strategy syntax at position {pos}")
-            break
-        toks.append((m.group(1), m.start(1)))
+            raise StrategyError(f"bad strategy syntax at position {pos}")
+        tok, at = m["tok"], m.start("tok")
+        if m["open"] or m["kind"]:
+            if not want_strategy:
+                raise StrategyError(f"expected ';', '|' or ')' at position {at}")
+            if m["kind"]:
+                stack[-1][1][-1].append(_basic(m))
+                want_strategy = False
+            elif len(stack) > MAX_NESTING:
+                raise StrategyError(f"nesting deeper than {MAX_NESTING} at position {at}")
+            else:
+                stack.append((tok, [[]]))
+        elif want_strategy:
+            raise StrategyError(f"expected a strategy at position {at}")
+        elif tok in (";", "|"):
+            if tok == ";":
+                stack[-1][1].append([])
+            want_strategy = True
+        else:
+            # a ) closes the innermost frame, the end of the text the root
+            if (tok == ")") != (len(stack) > 1):
+                raise StrategyError(f"unbalanced parentheses at position {at}")
+            opener, groups = stack.pop()
+            pars = [g[0] if len(g) == 1 else Par(tuple(g)) for g in groups]
+            node = pars[0] if len(pars) == 1 else Seq(tuple(pars))
+            if opener.startswith("repeat"):
+                node = Repeat(node)
+            if not stack:
+                return node
+            stack[-1][1][-1].append(node)
         pos = m.end()
-    i = 0
-
-    def err(msg: str):
-        at = toks[i][1] if i < len(toks) else len(text)
-        raise StrategyError(f"{msg} at position {at}")
-
-    def expect(tok: str):
-        nonlocal i
-        if i >= len(toks) or toks[i][0] != tok:
-            err(f"expected {tok!r}")
-        i += 1
-
-    def atom():
-        nonlocal i
-        if i >= len(toks):
-            err("expected a strategy")
-        t = toks[i][0]
-        if t == "(":
-            i += 1
-            inner = seq()
-            expect(")")
-            return inner
-        if t == "repeat":
-            i += 1
-            expect("(")
-            inner = seq()
-            expect(")")
-            return Repeat(inner)
-        if t in SEMIRINGS:
-            i += 1
-            expect("(")
-            params: dict[str, int] = {}
-            while True:
-                if i >= len(toks):
-                    err("unterminated parameter list")
-                key = toks[i][0]
-                if key in params:
-                    err(f"repeated parameter {key!r}")
-                i += 1
-                expect("=")
-                if i >= len(toks) or not toks[i][0].isdigit():
-                    err("expected a number")
-                params[key] = int(toks[i][0])
-                i += 1
-                if i < len(toks) and toks[i][0] == ",":
-                    i += 1
-                    continue
-                break
-            expect(")")
-            missing = {"size", "bits", "timeout"} - set(params)
-            if missing or set(params) - {"size", "bits", "timeout"}:
-                err("basic strategies take size=, bits=, timeout=")
-            return Basic(
-                t, SearchBudget(params["size"], params["bits"], params["timeout"])
-            )
-        err(f"unknown strategy {t!r}")
-
-    def par():
-        nonlocal i
-        node = atom()
-        children = [node]
-        while i < len(toks) and toks[i][0] == "|":
-            i += 1
-            children.append(atom())
-        return children[0] if len(children) == 1 else Par(tuple(children))
-
-    def seq():
-        nonlocal i
-        node = par()
-        children = [node]
-        while i < len(toks) and toks[i][0] == ";":
-            i += 1
-            children.append(par())
-        return children[0] if len(children) == 1 else Seq(tuple(children))
-
-    out = seq()
-    if i != len(toks):
-        err("trailing input")
-    return out
 
 
 @dataclass
@@ -327,37 +307,18 @@ class _Problem:
         """One gid permutation per adjacent transposition of base
         elements; the DFS keeps only lex-leading assignments. Saturated
         graphs have exactly one element per (tuple, label), so the
-        induced permutation always exists."""
+        automorphism that swaps two base elements and fixes the others
+        exists and is unique."""
         sig, T = self.sig, self.T
         self.sym_perms: list[tuple[int, ...]] = []
         for s in sig.base_sorts:
             for i in range(T.n(s) - 1):
-                elem_map: dict[int, list[int]] = {}
-                for t in sig.topo_order:
-                    if sig.is_base(t):
-                        elem_map[t] = list(range(T.n(t)))
-                        if t == s:
-                            elem_map[t][i], elem_map[t][i + 1] = i + 1, i
-                        continue
-                    targets = sig.arg_sorts(t)
-                    elem_map[t] = [
-                        T.tuple_index[
-                            (
-                                t,
-                                tuple(
-                                    elem_map[u][a]
-                                    for u, a in zip(targets, T.args[t][j])
-                                ),
-                                T.labels[t][j],
-                            )
-                        ][0]
-                        for j in range(T.n(t))
-                    ]
-                perm = [0] * self.nvars
-                for t in range(len(sig.objects)):
-                    for j in range(T.n(t)):
-                        perm[self.offset[t] + j] = self.offset[t] + elem_map[t][j]
-                self.sym_perms.append(tuple(perm))
+                pins = {(t, j): j for t in sig.base_sorts for j in range(T.n(t))}
+                pins[s, i], pins[s, i + 1] = i + 1, i
+                (h,) = enumerate_homs(T, T, constraint=pins)
+                self.sym_perms.append(
+                    tuple(self.offset[t] + j for t, row in enumerate(h.maps) for j in row)
+                )
 
     @staticmethod
     def _mask_gids(mask: int):
@@ -975,18 +936,15 @@ def _interp(node, system: System, remaining, steps, warnings) -> tuple[bool, lis
         steps.append(outcome.step)
         left = [r for r in remaining if r.name not in outcome.removed]
         return True, left
-    if isinstance(node, Seq):
+    # a node that fails leaves remaining as it was
+    if isinstance(node, (Seq, Par)):
         ok = False
         for child in node.children:
             good, remaining = _interp(child, system, remaining, steps, warnings)
             ok = ok or good
+            if good and isinstance(node, Par):
+                break
         return ok, remaining
-    if isinstance(node, Par):
-        for child in node.children:
-            good, after = _interp(child, system, remaining, steps, warnings)
-            if good:
-                return True, after
-        return False, remaining
     if isinstance(node, Repeat):
         ok = False
         while True:
@@ -994,8 +952,6 @@ def _interp(node, system: System, remaining, steps, warnings) -> tuple[bool, lis
             if not good:
                 return ok, remaining
             ok = True
-            if _s1_done(system, remaining):
-                return ok, remaining
     raise StrategyError(f"unknown strategy node {node!r}")
 
 

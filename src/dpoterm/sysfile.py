@@ -116,7 +116,9 @@ _ELEM = re.compile(
     rf"(?:\s*\[(?P<label>{NAME})\])?"
     r"(?:\s*\((?P<args>[^)]*)\))?\s*$"
 )
-_MAP_PAIR = re.compile(rf"({NAME})\s*(?:->|↦)\s*({NAME})")
+_MAP_PAIR = re.compile(rf"\s*({NAME})\s*(?:->|↦)\s*({NAME})\s*")
+# a set of names, as in `relative { a b }` and `remaining { a b }`
+NAME_SET = re.compile(rf"\s*\{{\s*((?:{NAME}(?:\s+{NAME})*)?)\s*\}}\s*")
 
 
 def read_lines(text: str) -> list[tuple[str, int]]:
@@ -152,19 +154,18 @@ def element_row(text: str, lineno: int) -> list:
 
 
 def _parse_map(text: str, lineno: int) -> dict[str, str]:
-    body = text.strip()
-    if not (body.startswith("{") and body.endswith("}")):
+    """The { a -> b, ... } map in text; each name is mapped once."""
+    braces = re.fullmatch(r"\s*\{(.*)\}\s*", text)
+    if not braces:
         raise SystemParseError("map must be written as { a -> b, ... }", lineno)
-    inner = body[1:-1].strip()
     out: dict[str, str] = {}
-    if not inner:
-        return out
-    consumed = 0
-    for m in _MAP_PAIR.finditer(inner):
-        out[m.group(1)] = m.group(2)
-        consumed += 1
-    if consumed != len([p for p in inner.split(",") if p.strip()]):
-        raise SystemParseError(f"bad map syntax in {text!r}", lineno)
+    for piece in braces[1].split(",") if braces[1].strip() else ():
+        m = _MAP_PAIR.fullmatch(piece)
+        if not m:
+            raise SystemParseError(f"bad map syntax in {text!r}", lineno)
+        if m[1] in out:
+            raise SystemParseError(f"{m[1]!r} is mapped twice in {text!r}", lineno)
+        out[m[1]] = m[2]
     return out
 
 
@@ -282,8 +283,9 @@ def parse_system_file(text: str) -> System:
             if relative_line:
                 raise SystemParseError("repeated relative line", lineno)
             relative_line = lineno
-            names = re.findall(NAME, text_i[len("relative"):])
-            relative = frozenset(names)
+            if not (m := NAME_SET.fullmatch(text_i, len("relative"))):
+                raise SystemParseError("relative must be written as { rule ... }", lineno)
+            relative = frozenset(m[1].split())
             i += 1
         elif head[0] == "strategy":
             if strategy is not None:

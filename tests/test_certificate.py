@@ -265,6 +265,34 @@ def test_a_directive_is_its_whole_first_word(line, edited):
         read_certificate(system.sig, text.replace(line, edited))
 
 
+@pytest.mark.parametrize(
+    "line, edited",
+    [
+        ("verdict relatively-terminating", "verdict relatively-terminating junk"),
+        ("  semiring arithmetic", "  semiring arithmetic tropical"),
+        ("remaining { tau }", "remaining tau"),
+        ("remaining { tau }", "remaining { tau } }"),
+        ("remaining { tau }", "remaining { { tau }"),
+        ("remaining { tau }", "remaining { tau"),
+    ],
+)
+def test_a_line_is_read_whole(line, edited):
+    system = load("limitations")
+    text = (PINNED / "limitations.cert").read_text()
+    assert line in text
+    with pytest.raises(CertificateError, match="unexpected line"):
+        read_certificate(system.sig, text.replace(line, edited))
+
+
+def test_the_system_hash_is_one_word():
+    system = load("limitations")
+    text = (PINNED / "limitations.cert").read_text()
+    head, hash_line, rest = text.split("\n", 2)
+    edited = f"{head}\n{hash_line} {hash_line.split()[1]}\n{rest}"
+    with pytest.raises(CertificateError, match="missing system-hash"):
+        read_certificate(system.sig, edited)
+
+
 def test_a_closure_that_is_no_homomorphism_is_a_bad_closure():
     # the names resolve, so only validating the closure morphism rejects it
     system = load("simple_fold")
@@ -476,4 +504,4 @@ def test_checker_imports_only_the_trusted_base():
     loaded = json.loads(out.stdout)
     assert set(loaded) == TRUSTED_BASE
     lines = sum(len(Path(f).read_text().splitlines()) for f in loaded.values())
-    assert lines <= 1525, f"the checker's import closure has {lines} lines"
+    assert lines <= 1520, f"the checker's import closure has {lines} lines"

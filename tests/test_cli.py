@@ -243,3 +243,58 @@ def test_prove_too_many_bits_is_strategy_error(capsys):
     strategy = "arithmetic(size=1,bits=64,timeout=1)"
     assert main(["prove", str(SYSTEMS / "loop_unfolding.gts"), "--strategy", strategy]) == 1
     assert capsys.readouterr().err.startswith("error: strategy:")
+
+
+@pytest.mark.parametrize("opener", ["repeat(", "("])
+@pytest.mark.parametrize("where", ["option", "file"])
+def test_deeply_nested_strategy_is_strategy_error(tmp_path, capsys, opener, where):
+    strategy = opener * 5000 + "arithmetic(size=1,bits=1,timeout=1)" + ")" * 5000
+    system = SYSTEMS / "loop_unfolding.gts"
+    args = ["prove", str(system), "--strategy", strategy]
+    if where == "file":
+        system = tmp_path / "nested.gts"
+        system.write_text((SYSTEMS / "loop_unfolding.gts").read_text() + f'strategy "{strategy}"\n')
+        args = ["prove", str(system)]
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: strategy: nesting deeper than 100")
+    assert "Traceback" not in err
+
+
+def test_a_rule_side_of_thousands_of_elements_proves_and_checks(tmp_path, capsys):
+    # hom enumeration takes one loop step, not one stack frame, per element
+    nodes = [f"  V n{i}\n" for i in range(5000)]
+    kept = ", ".join(f"n{i} -> n{i}" for i in range(len(nodes) - 1))
+    system = tmp_path / "drop.gts"
+    system.write_text(
+        f"signature\n  V\nend\ngraph L\n{''.join(nodes)}end\n"
+        f"graph K\n{''.join(nodes[:-1])}end\n"
+        f"rule drop\n  L = L\n  K = K\n  R = K\n  l = {{ {kept} }}\n  r = {{ {kept} }}\nend\n"
+        "framework monic\n"
+    )
+    cert = tmp_path / "drop.cert"
+    assert main(["prove", str(system), "--out", str(cert)]) == 0
+    assert "verdict terminating" in capsys.readouterr().out
+    assert main(["check", str(system), str(cert)]) == 0
+    assert "accept" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "closure",
+    [
+        "{ o -> zero0 -> zero0, p -> plus0, x -> V0, y -> V0, z -> V0 }",
+        "{ o -> zero0 zero0, p -> plus0, x -> V0, y -> V0, z -> V0 }",
+        "{ o o -> zero0, p -> plus0, x -> V0, y -> V0, z -> V0 }",
+        "{ o -> V0, o -> zero0, p -> plus0, x -> V0, y -> V0, z -> V0 }",
+    ],
+    ids=["two-arrows", "two-targets", "two-sources", "source-twice"],
+)
+def test_check_reads_a_closure_whole(tmp_path, capsys, closure):
+    pinned = Path(__file__).resolve().parent / "certificates" / "limitations.cert"
+    written = "{ o -> zero0, p -> plus0, x -> V0, y -> V0, z -> V0 }"
+    assert written in pinned.read_text()
+    path = tmp_path / "closure.cert"
+    path.write_text(pinned.read_text().replace(written, closure))
+    assert main(["check", str(SYSTEMS / "limitations.gts"), str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "map" in err and "Traceback" not in err

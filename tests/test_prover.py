@@ -81,6 +81,56 @@ def test_repeated_parameter_is_rejected():
         parse_strategy("arithmetic(size=1,bits=1,timeout=1,size=2)")
 
 
+A = "arithmetic(size=1,bits=1,timeout=1)"
+T = "tropical(size=2,bits=3,timeout=4)"
+_A = Basic("arithmetic", SearchBudget(1, 1, 1))
+_T = Basic("tropical", SearchBudget(2, 3, 4))
+_DEEP = _A
+for _ in range(100):
+    _DEEP = Repeat(_DEEP)
+
+
+@pytest.mark.parametrize(
+    "text, tree",
+    [
+        (A, _A),
+        (f" ( {A} ) ", _A),
+        ("arithmetic ( timeout = 1 , size=01, bits=1 )", _A),
+        (f"{A} | {T} ; {T}", Seq((Par((_A, _T)), _T))),
+        (f"{A} ; {T} | {T}", Seq((_A, Par((_T, _T))))),
+        (f"repeat ( {A} ; ({T} | {A}) )", Repeat(Seq((_A, Par((_T, _A)))))),
+        (f"(({A} | {T})) | {A}", Par((Par((_A, _T)), _A))),
+        ("repeat(" * 100 + A + ")" * 100, _DEEP),
+    ],
+)
+def test_parse_strategy_trees(text, tree):
+    assert parse_strategy(text) == tree
+
+
+@pytest.mark.parametrize(
+    "text, error",
+    [
+        ("", "expected a strategy at position 0"),
+        ("repeat()", "expected a strategy at position 7"),
+        (f"{A} {T}", "expected ';', '|' or ')' at position 36"),
+        (f"{A} ;", "expected a strategy at position 37"),
+        (f"{A} ; | {T}", "expected a strategy at position 38"),
+        (f"{A})", "unbalanced parentheses at position 35"),
+        (f"({A}", "unbalanced parentheses at position 36"),
+        ("repeat", "bad strategy syntax at position 0"),
+        ("foo(size=1,bits=1,timeout=1)", "unknown strategy 'foo' at position 0"),
+        ("arithmetic(size=1,bits=1)", "basic strategies take size=, bits=, timeout= at position 0"),
+        ("arithmetic(size=1,bits=x,timeout=1)", "expected name=number at position 18"),
+        ("arithmetic(size=1,bits=1,timeout=1,)", "expected name=number at position 35"),
+        ("(" * 101 + A + ")" * 101, "nesting deeper than 100 at position 100"),
+    ],
+)
+def test_parse_strategy_errors(text, error):
+    with pytest.raises(StrategyError) as err:
+        parse_strategy(text)
+    assert str(err.value) == error
+
+
 def test_search_loop_unfolding_finds():
     system = load("loop_unfolding")
     out = search_wtg(

@@ -47,4 +47,4 @@ def test_shipped_mutants_keep_their_outcomes(searched):
             outcomes[_outcome(system, text)] += 1
             for spec in wl.mutant_specs(toks, f"{stem}/{form}"):
                 outcomes[_outcome(system, wl.apply_mutant(text, toks, spec))] += 1
-    assert outcomes == {"accept": 410, "reject": 280, "input_error": 4126}
+    assert outcomes == {"accept": 237, "reject": 196, "input_error": 4383}

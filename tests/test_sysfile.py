@@ -342,3 +342,29 @@ def test_repeated_relative_or_strategy_rejected(text, line, what):
     with pytest.raises(SystemParseError, match=f"repeated {what}") as err:
         parse_system_file(text)
     assert err.value.line == line
+
+
+@pytest.mark.parametrize(
+    "leg",
+    [
+        "{ x -> x -> x, y -> y, e -> e }",
+        "{ x -> x y, y -> y, e -> e }",
+        "{ x -> x, y -> y, e e -> e }",
+        "{ x -> y, x -> x, y -> y, e -> e }",
+    ],
+    ids=["two-arrows", "two-targets", "two-sources", "source-twice"],
+)
+def test_a_rule_leg_is_read_whole(leg):
+    text = MINIMAL.replace("l = { x -> x, y -> y, e -> e }", f"l = {leg}")
+    with pytest.raises(SystemParseError, match="map") as err:
+        parse_system_file(text)
+    assert err.value.line == 17
+
+
+@pytest.mark.parametrize(
+    "line", ["relative keep", "relative { keep } }", "relative { keep", "relative { keep } x"]
+)
+def test_relative_is_a_set_in_braces(line):
+    with pytest.raises(SystemParseError, match="relative must be written") as err:
+        parse_system_file(MINIMAL + line + "\n")
+    assert err.value.line == 22
