@@ -17,7 +17,7 @@ from pathlib import Path
 from .certificate import certificate_to_json, read_certificate, write_certificate
 from .checker import CertificateError, check_certificate, step_wtg
 from .dpo import enumerate_matches
-from .graph import canonical_key
+from .graph import canonical_key, isomorphic
 from .prover import DEFAULT_STRATEGY, parse_strategy, run_strategy
 from .sysfile import System, SystemParseError, parse_system_file
 from .verify import verify_step_decompositions
@@ -101,7 +101,8 @@ def _cmd_steps(args) -> int:
         print(f"error: unknown graph {args.graph!r}", file=sys.stderr)
         return 1
     frontier = [system.graphs[args.graph]]
-    seen = {canonical_key(frontier[0])}
+    # invariant key -> the graphs kept under it, pairwise non-isomorphic
+    seen = {canonical_key(frontier[0]): frontier[:1]}
     print(f"depth 0: 1 graph ({frontier[0].size} elements)")
     for depth in range(1, args.depth + 1):
         next_frontier = []
@@ -110,9 +111,9 @@ def _cmd_steps(args) -> int:
             for rule in system.rules:
                 for m, diag in enumerate_matches(rule, g, system.framework):
                     step_count += 1
-                    key = canonical_key(diag.H)
-                    if key not in seen:
-                        seen.add(key)
+                    kept = seen.setdefault(canonical_key(diag.H), [])
+                    if not any(isomorphic(diag.H, k) for k in kept):
+                        kept.append(diag.H)
                         next_frontier.append(diag.H)
         print(
             f"depth {depth}: {step_count} steps, {len(next_frontier)} new graphs"

@@ -1,4 +1,4 @@
-"""Finite instances of a signature and isomorphism-aware canonical forms.
+"""Finite instances of a signature, and isomorphism by colour refinement.
 
 Elements of every sort are stored densely (ids 0..n-1). Graphs are value
 objects, valid by construction: equality and hashing ignore the optional
@@ -6,11 +6,11 @@ element names, which exist only for file round-trips and diagnostics.
 """
 from __future__ import annotations
 
-import itertools
+import hashlib
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 from .signature import IndexSignature
 
@@ -161,77 +161,67 @@ def validate_instance(g: CGraph) -> None:
         raise GraphError("; ".join(problems))
 
 
+def _refine(graphs: tuple[CGraph, ...], pins: tuple = ()) -> tuple[list, list[int], list]:
+    """Colour refinement (1-WL; Shervashidze et al., JMLR 12, 2011), joint
+    over graphs so that colours compare across them. An element starts
+    with its sort, its label and the index of the pin naming it, if any
+    (a pin holds one (sort, id) per graph). Each round adds its
+    arguments' colours and the sorted (sort, position, colour) of the
+    elements naming it, until no class splits. Returns the (graph, sort,
+    id) elements, their colours and each round's sorted signatures."""
+    elems = [(k, s, i) for k, g in enumerate(graphs)
+             for s, count in enumerate(g.counts) for i in range(count)]
+    index = {e: n for n, e in enumerate(elems)}
+    pinned = {(k, *pin[k]): p for p, pin in enumerate(pins) for k in range(len(graphs))}
+    args: list[tuple[int, ...]] = []
+    refs: list[list[tuple[int, int, int]]] = [[] for _ in elems]
+    for n, (k, s, i) in enumerate(elems):
+        g = graphs[k]
+        args.append(tuple(index[k, t, a] for t, a in zip(g.sig.arg_sorts(s), g.args[s][i])))
+        for pos, a in enumerate(args[n]):
+            refs[a].append((s, pos, n))
+    sigs: list = [(s, graphs[k].labels[s][i], pinned.get((k, s, i), -1)) for k, s, i in elems]
+    colours, classes, rounds = [], -1, []
+    while True:
+        rounds.append(sorted(sigs))
+        rank = {sig: c for c, sig in enumerate(dict.fromkeys(rounds[-1]))}
+        if len(rank) == classes:
+            return elems, colours, rounds
+        colours, classes = [rank[sig] for sig in sigs], len(rank)
+        sigs = [(colours[n], tuple(colours[a] for a in args[n]),
+                 tuple(sorted((s, pos, colours[r]) for s, pos, r in refs[n])))
+                for n in range(len(elems))]
+
+
 def canonical_key(g: CGraph) -> bytes:
-    """Exact canonical form: equal keys iff isomorphic.
+    """An isomorphism invariant: isomorphic graphs get equal keys, but
+    equal keys need not mean isomorphic graphs. It digests every round's
+    signatures, since the final colour ranks alone give a loop plus an
+    isolated node the key of a single edge."""
+    return hashlib.sha256(repr(_refine((g,))[2]).encode()).digest()
 
-    Minimizes a full serialization over all base-sort permutations, and
-    over permutations within groups of indistinguishable parallel
-    elements whenever a later sort can reference them. Factorial in the
-    base sizes, which is acceptable at desk scale.
-    """
-    sig = g.sig
-    order = sig.topo_order
-    referenced = {t for s in range(len(sig.objects)) for t in sig.arg_sorts(s)}
-    best: list[Optional[tuple]] = [None]
 
-    def rec(k: int, relabel: dict[int, Sequence[int]], serial: list) -> None:
-        if k == len(order):
-            key = tuple(serial)
-            if best[0] is None or key < best[0]:
-                best[0] = key
-            return
-        s = order[k]
-        if sig.is_base(s):
-            for perm in itertools.permutations(range(g.n(s))):
-                inv = [0] * len(perm)
-                for new, old in enumerate(perm):
-                    inv[old] = new
-                rec(
-                    k + 1,
-                    {**relabel, s: inv},
-                    serial + [(s, tuple(g.labels[s][old] for old in perm))],
-                )
-            return
-        targets = sig.arg_sorts(s)
-        descs = sorted(
-            (
-                (
-                    tuple(relabel[t][a] for t, a in zip(targets, g.args[s][i])),
-                    g.labels[s][i],
-                ),
-                i,
-            )
-            for i in range(g.n(s))
-        )
-        serial = serial + [(s, tuple(d for d, _ in descs))]
-        groups: list[list[int]] = []
-        for pos, (d, i) in enumerate(descs):
-            if pos and descs[pos - 1][0] == d:
-                groups[-1].append(i)
-            else:
-                groups.append([i])
-        if s not in referenced or all(len(gr) == 1 for gr in groups):
-            inv = [0] * g.n(s)
-            for pos, (_, i) in enumerate(descs):
-                inv[i] = pos
-            rec(k + 1, {**relabel, s: inv}, serial)
-            return
-        # parallel duplicates referenced from above: ids within a group
-        # are interchangeable only up to such references, so try them all
-        base_pos = 0
-        starts = []
-        for gr in groups:
-            starts.append(base_pos)
-            base_pos += len(gr)
-        for combo in itertools.product(
-            *(itertools.permutations(gr) for gr in groups)
-        ):
-            inv = [0] * g.n(s)
-            for start, perm in zip(starts, combo):
-                for off, old in enumerate(perm):
-                    inv[old] = start + off
-            rec(k + 1, {**relabel, s: inv}, serial)
-
-    rec(0, {}, [g.counts])
-    return repr(best[0]).encode()
-
+def isomorphic(g: CGraph, h: CGraph) -> bool:
+    """Whether g and h are isomorphic, by individualization-refinement
+    (McKay and Piperno, J. Symb. Comput. 60, 2014). A branch refines g
+    and h jointly under its pins and is dropped when their colour
+    histograms differ. A discrete colouring with equal histograms pairs
+    each element with the same-coloured one, and stable colours carry
+    arguments along: an isomorphism. Otherwise the first element of g in
+    the first class of several is pinned to each same-coloured element
+    of h, one branch each, on an explicit stack."""
+    if g.counts != h.counts:
+        return False
+    stack: list[tuple] = [()]
+    while stack:
+        pins = stack.pop()
+        elems, colours, _ = _refine((g, h), pins)
+        mine = Counter(colours[: g.size])
+        if mine != Counter(colours[g.size :]):
+            continue
+        c = min((c for c, k in mine.items() if k > 1), default=None)
+        if c is None:
+            return True
+        x = elems[colours.index(c)][1:]
+        stack += [pins + ((x, e[1:]),) for e, d in zip(elems, colours) if e[0] and d == c]
+    return False

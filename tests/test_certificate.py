@@ -425,11 +425,11 @@ def test_element_at_is_the_unique_constrained_embedding():
 
 
 def test_prove_and_check_never_call_canonical_key(searched, monkeypatch):
-    """canonical_key tries every permutation of the base elements; the
-    prove and check paths must not reach it."""
+    """canonical_key refines colours over a whole graph for `dpoterm
+    steps`; the prove and check paths must not reach it."""
     original = dpoterm.graph.canonical_key
 
-    def factorial(g):
+    def forbidden(g):
         raise AssertionError("canonical_key called on the prove or check path")
 
     replaced = 0
@@ -437,7 +437,7 @@ def test_prove_and_check_never_call_canonical_key(searched, monkeypatch):
         if name == "dpoterm" or name.startswith("dpoterm."):
             for key, value in list(vars(mod).items()):
                 if value is original:
-                    monkeypatch.setattr(mod, key, factorial)
+                    monkeypatch.setattr(mod, key, forbidden)
                     replaced += 1
     assert replaced
     for system, cert, _ in searched.values():
@@ -504,4 +504,4 @@ def test_checker_imports_only_the_trusted_base():
     loaded = json.loads(out.stdout)
     assert set(loaded) == TRUSTED_BASE
     lines = sum(len(Path(f).read_text().splitlines()) for f in loaded.values())
-    assert lines <= 1520, f"the checker's import closure has {lines} lines"
+    assert lines <= 1510, f"the checker's import closure has {lines} lines"

@@ -9,8 +9,10 @@ import pytest
 
 from dpoterm.certificate import certificate_to_json, write_certificate
 from dpoterm.cli import _parser, main
+from dpoterm.sysfile import parse_system_file
 
 SYSTEMS = Path(__file__).resolve().parent.parent / "systems"
+PINNED_STEPS = Path(__file__).resolve().parent / "steps_depth4.txt"
 
 
 def test_prove_check_roundtrip(tmp_path, capsys):
@@ -116,6 +118,60 @@ def test_steps_simulator(capsys):
     out = capsys.readouterr().out
     assert "depth 0: 1 graph" in out
     assert "normal forms reached" in out
+
+
+def test_steps_output_is_pinned_on_every_shipped_graph(capsys):
+    # steps_depth4.txt holds, after a "== system graph" line, the whole
+    # stdout of `steps --depth 4`; the lower depths print its prefixes
+    blocks = re.split(r"^== (\S+) (\S+)\n", PINNED_STEPS.read_text(), flags=re.M)[1:]
+    pinned = {(s, g): out for s, g, out in zip(blocks[::3], blocks[1::3], blocks[2::3])}
+    shipped = {
+        (path.stem, g)
+        for path in SYSTEMS.glob("*.gts")
+        for g in parse_system_file(path.read_text()).graphs
+    }
+    assert set(pinned) == shipped and len(shipped) == 39
+    for (system, g), out in sorted(pinned.items()):
+        code = main(["steps", str(SYSTEMS / f"{system}.gts"), "--graph", g, "--depth", "4"])
+        assert (code, *capsys.readouterr()) == (0, out, ""), (system, g)
+
+
+_NODES = "".join(f"  V v{i}\n" for i in range(12))
+_PATH = _NODES + "".join(f"  edge e{i} (v{i}, v{i + 1})\n" for i in range(11))
+
+
+@pytest.mark.parametrize(
+    "host, rule, out",
+    [
+        # cutting an edge of the 12-node path leaves two paths, and two
+        # cuts leave three: the partitions of 12 into 2 and into 3 parts
+        (_PATH, "L = E\n  K = N\n  R = N\n  l = { x -> x, y -> y }\n  r = { x -> x, y -> y }",
+         "depth 0: 1 graph (23 elements)\n"
+         "depth 1: 11 steps, 6 new graphs\n"
+         "depth 2: 60 steps, 12 new graphs\n"),
+        # a loop on one of 12 isolated nodes, then a second loop on the same
+        # node or on another
+        (_NODES, "L = X\n  K = X\n  R = Y\n  l = { x -> x }\n  r = { x -> x }",
+         "depth 0: 1 graph (12 elements)\n"
+         "depth 1: 12 steps, 1 new graphs\n"
+         "depth 2: 12 steps, 2 new graphs\n"),
+    ],
+    ids=["path", "isolated"],
+)
+def test_steps_on_twelve_nodes_is_not_factorial(tmp_path, capsys, host, rule, out):
+    system = tmp_path / "twelve.gts"
+    system.write_text(
+        "signature\n  V\n  edge(V,V)\nend\n"
+        f"graph H\n{host}end\n"
+        "graph E\n  V x\n  V y\n  edge e (x, y)\nend\n"
+        "graph N\n  V x\n  V y\nend\n"
+        "graph X\n  V x\nend\n"
+        "graph Y\n  V x\n  edge e (x, x)\nend\n"
+        f"rule r\n  {rule}\nend\n"
+        "framework monic\n"
+    )
+    assert main(["steps", str(system), "--graph", "H", "--depth", "2"]) == 0
+    assert capsys.readouterr() == (out, "")
 
 
 def test_a_sort_may_be_declared_after_the_sorts_that_use_it(tmp_path, capsys):

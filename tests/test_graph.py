@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -8,6 +9,7 @@ from dpoterm.graph import (
     CGraph,
     GraphError,
     canonical_key,
+    isomorphic,
     validate_instance,
 )
 from dpoterm.morphism import enumerate_homs
@@ -110,11 +112,41 @@ def test_canonical_respects_iso(sig, rng):
 
 
 def test_canonical_separates_noniso(rng):
+    # equal keys need not mean isomorphic graphs; isomorphic decides
     graphs = [random_instance(GRAPH_SIG, rng, max_base=3, max_elems=3) for _ in range(40)]
     for i, a in enumerate(graphs):
         for b in graphs[i + 1 :]:
-            same_key = canonical_key(a) == canonical_key(b)
-            assert same_key == _isomorphic(a, b)
+            iso = _isomorphic(a, b)
+            assert isomorphic(a, b) == iso
+            assert canonical_key(a) == canonical_key(b) or not iso
+
+
+@pytest.mark.parametrize(
+    "sig", [GRAPH_SIG, LABELLED_SIG, SIMPLE_SIG, parse_signature("V E(V,V) F(E,V)")]
+)
+def test_isomorphic_agrees_with_bijective_homs(sig, rng):
+    graphs = [random_instance(sig, rng, max_base=3, max_elems=4) for _ in range(40)]
+    graphs += [_permuted(g, rng) for g in graphs[:10]]
+    outcomes = Counter()
+    for i, a in enumerate(graphs):
+        for b in graphs[i + 1 :]:
+            iso = _isomorphic(a, b)
+            assert isomorphic(a, b) == isomorphic(b, a) == iso
+            outcomes[iso, a.counts == b.counts] += 1
+    # both answers occur among graphs of equal size
+    assert outcomes[True, True] >= 10 and outcomes[False, True] > 0
+
+
+def test_isomorphic_tells_apart_what_refinement_cannot():
+    # every node of two directed 3-cycles and of one directed 6-cycle has
+    # one edge in and one out, so refinement never splits a class
+    nodes = [f"v{i}" for i in range(6)]
+    triangles = graph(
+        GRAPH_SIG, nodes, [(f"e{i}", f"v{i}", f"v{i // 3 * 3 + (i + 1) % 3}") for i in range(6)]
+    )
+    hexagon = graph(GRAPH_SIG, nodes, [(f"e{i}", f"v{i}", f"v{(i + 1) % 6}") for i in range(6)])
+    assert canonical_key(triangles) == canonical_key(hexagon)
+    assert not isomorphic(triangles, hexagon) and not _isomorphic(triangles, hexagon)
 
 
 def test_complete_graph_flower():

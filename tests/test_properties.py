@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from dpoterm import semiring as sr
 from dpoterm.certificate import certificate_to_json, read_certificate, write_certificate
 from dpoterm.checker import CertificateError, CheckResult, check_certificate
-from dpoterm.graph import canonical_key
+from dpoterm.graph import canonical_key, isomorphic
 from dpoterm.morphism import compose, enumerate_homs
 from dpoterm.semiring import ARCTIC, ARITHMETIC, TROPICAL
 from dpoterm.verify import random_instance
@@ -58,7 +58,9 @@ def test_semiring_pow_is_iterated_mul(k, a, n):
 def test_canonical_key_permutation_invariant(seed):
     rng = random.Random(seed)
     g = random_instance(GRAPH_SIG, rng, max_base=3, max_elems=4)
-    assert canonical_key(g) == canonical_key(_permuted(g, rng))
+    permuted = _permuted(g, rng)
+    assert canonical_key(g) == canonical_key(permuted)
+    assert isomorphic(g, permuted)
 
 
 @given(st.integers(min_value=0, max_value=2**32))
