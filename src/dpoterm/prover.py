@@ -12,6 +12,12 @@ Assignments are explored depth first inside growing cost tiers
 certificates are found quickly while exhaustion stays complete. An
 undecided weight is bounded by the heaviest weight its tier still
 affords.
+
+Every leaf removes a rule through a live closure candidate, so the build
+forces present the elements that every candidate requires, and it
+cancels the factors that every term of both sides of a constraint
+shares. Both only tighten the bounds, on subtrees that hold no leaf, so
+the first leaf found, and its certificate, stays the same.
 """
 from __future__ import annotations
 
@@ -247,7 +253,8 @@ class _Problem:
             acc += T.n(s)
         self.nvars = acc
         # bit g of a support, absent or undecided mask is element g; base
-        # elements are never absent, so their bit is 0
+        # elements are never absent, so their bit is 0, and neither are
+        # the elements that _tighten forces present
         self.bit = [
             0 if sig.is_base(s) else 1 << (self.offset[s] + i)
             for s in range(ns)
@@ -280,21 +287,37 @@ class _Problem:
         self._build_constraints()
         self._build_candidates()
         self._build_symmetry()
-        self.epi = epi if epi is not None else [detect_collapse_epi(r) for r in rules]
+        if epi is None:
+            epi = [detect_collapse_epi(r) for r in rules]
+        # a rule whose right side folds onto its left never decreases
+        # strictly over the arithmetic or arctic semiring
+        self.unremovable = [e and kind.kind in ("arithmetic", "arctic") for e in epi]
         # base weights first (they gate arithmetic growth arguments),
         # then non-base elements most-constrained first: occurrence count
-        # over supports and exponents localizes refutations
+        # over supports and exponents localizes refutations. The order,
+        # the occurrences and the constraints each variable touches are
+        # taken before _tighten, which leaves every found step as it was.
         occurrence = [0] * self.nvars
-        for c in self.constraints:
-            for g in self._mask_gids(c[1]):
+        # occurrences for the relevance test: (cid, None) when the var is
+        # in the t_K support, else (cid, term support mask)
+        self.var_occ: list[list[tuple]] = [[] for _ in range(self.nvars)]
+        self.var_cids: list[list[int]] = [[] for _ in range(self.nvars)]
+        for cid, (_, tk_sup, lterms, rterms) in enumerate(self.constraints):
+            touched = set(self._mask_gids(tk_sup))
+            for g in touched:
                 occurrence[g] += 1
-            for terms in (c[2], c[3]):
+                self.var_occ[g].append((cid, None))
+            for sup, factors, k in lterms + rterms:
+                sup_gids = self._mask_gids(sup)
                 # a merged term counts once per hom that gave it
-                for sup, factors, k in terms:
-                    for g in self._mask_gids(sup):
-                        occurrence[g] += k
-                    for g in set(factors):
-                        occurrence[g] += k
+                for g in itertools.chain(sup_gids, set(factors)):
+                    occurrence[g] += k
+                term_gids = set(sup_gids).union(factors)
+                for g in term_gids:
+                    self.var_occ[g].append((cid, sup))
+                touched.update(term_gids)
+            for g in touched:
+                self.var_cids[g].append(cid)
         branchable = [v for v in range(self.nvars) if len(self.domain[v]) > 1]
         # exactly the non-base elements have a mask bit
         self.var_order = sorted(
@@ -302,6 +325,55 @@ class _Problem:
         )
         # a weight w costs w - one and absence is free
         self.max_cost = sum(self.wmax[v] - neutral for v in branchable)
+        self._tighten()
+
+    def _tighten(self):
+        """Two inferences from what every leaf holds, which prune only
+        subtrees without a leaf. A leaf removes a rule through a live
+        closure candidate, so an element that every candidate of a
+        removable rule requires is present at every leaf: like a base
+        element, it loses absence and its mask bit. Then the multiset of
+        factors that every term of both sides of a constraint shares is
+        divided out. Arithmetic weights are >= 1 and tropical and arctic
+        weights finite, so no comparison changes, and an empty side stays
+        0, +inf or -inf. Constraints are rewritten in place, and a term
+        that neither step changes is kept as it is."""
+        required = [
+            cand.required
+            for ri, cands in enumerate(self.cands)
+            if not self.unremovable[ri]
+            for cand in cands
+        ]
+        forced = -1 if required else 0
+        for req in required:
+            forced &= req
+        for g in self._mask_gids(forced):
+            self.bit[g] = 0
+            # absence is the last value of a non-base domain
+            self.domain[g] = self.domain[g][:-1]
+        keep = ~forced
+        for cid, (ri, tk_sup, lterms, rterms) in enumerate(self.constraints):
+            terms = lterms + rterms
+            # (factor, multiplicity) that every term holds
+            common = []
+            for g in set(terms[0][1]) if terms else ():
+                n = min(factors.count(g) for _, factors, _ in terms)
+                if n:
+                    common.append((g, n))
+
+            def reduced(term):
+                sup, factors, k = term
+                if not (common or sup & forced):
+                    return term
+                left = list(factors)
+                for g, n in common:
+                    for _ in range(n):
+                        left.remove(g)
+                return sup & keep, tuple(left), k
+
+            self.constraints[cid] = (
+                ri, tk_sup & keep, tuple(map(reduced, lterms)), tuple(map(reduced, rterms))
+            )
 
     def _build_symmetry(self):
         """One gid permutation per adjacent transposition of base
@@ -432,10 +504,11 @@ class _Search:
             "tropical": _Search._eval_tropical,
             "arctic": _Search._eval_arctic,
         }[problem.kind.kind]
-        self.val: list[Optional[int]] = [None] * problem.nvars
-        for v in range(problem.nvars):
-            if len(problem.domain[v]) == 1:
-                self.val[v] = problem.domain[v][0]
+        # a variable outside var_order has one value; a forced element
+        # that weighs one keeps its place in the order
+        self.val: list[Optional[int]] = [d[0] for d in problem.domain]
+        for v in problem.var_order:
+            self.val[v] = None
         self.absent_mask = 0
         self.undecided_mask = 0
         for g in range(problem.nvars):
@@ -457,23 +530,10 @@ class _Search:
         for d in range(len(order) - 1, 0, -1):
             self.deep_wmax[d - 1] = max(self.deep_wmax[d], problem.wmax[order[d]])
         self.cons = problem.constraints
-        self.var_cids: list[list[int]] = [[] for _ in range(problem.nvars)]
-        # occurrences for the relevance test: (cid, None) when the var is
-        # in the t_K support, else (cid, term support mask)
-        self.var_occ: list[list[tuple]] = [[] for _ in range(problem.nvars)]
-        for cid, c in enumerate(self.cons):
-            touched = set(problem._mask_gids(c[1]))
-            for g in touched:
-                self.var_occ[g].append((cid, None))
-            for terms in (c[2], c[3]):
-                for sup, factors, _ in terms:
-                    term_gids = set(problem._mask_gids(sup))
-                    term_gids.update(factors)
-                    for g in term_gids:
-                        self.var_occ[g].append((cid, sup))
-                    touched.update(term_gids)
-            for g in touched:
-                self.var_cids[g].append(cid)
+        self.var_occ = problem.var_occ
+        # _dfs moves a blocker to the front of its list, which changes
+        # the order of evaluation but no state it leaves
+        self.var_cids = problem.var_cids
         self.var_cands: list[list] = [[] for _ in range(problem.nvars)]
         for ri, cands in enumerate(problem.cands):
             for cand in cands:
@@ -632,7 +692,7 @@ class _Search:
         uniform when no constraint blocks that, else closureDecreasing
         over a strictly monotonic semiring when weak decrease holds."""
         p = self.p
-        if p.epi[ri] and p.kind.kind in ("arithmetic", "arctic"):
+        if p.unremovable[ri]:
             return None
         if self.uniform_blocked[ri] == 0:
             cls = "uniform"
@@ -647,12 +707,16 @@ class _Search:
         return None
 
     def _prune(self, target: int) -> bool:
+        # a weak-blocked rule is also uniform-blocked and not
+        # closureDecreasing, so it is never removable
+        if any(self.weak_blocked):
+            return True
         removable = 0
         for ri in range(len(self.p.rules)):
+            if removable >= target:
+                break
             if self._removal(ri) is not None:
                 removable += 1
-            elif self.weak_blocked[ri] > 0:
-                return True
         return removable < target
 
     # --- leaf extraction ------------------------------------------------

@@ -38,6 +38,7 @@ from dpoterm.wtg import (
 )
 
 from oracles import representable_shapes, s_sum, side_homs
+from test_prover import STRING3
 
 SYSTEMS = Path(__file__).resolve().parent.parent / "systems"
 
@@ -209,22 +210,37 @@ def oracle_has_proof(system, kind, size: int, bits: int, limit: int) -> Optional
     return False
 
 
-def test_search_agrees_with_the_brute_force_oracle_at_bits_1():
-    """search_wtg finds a proof within a budget iff the oracle does, for
-    the shipped systems over all three semirings at sizes 1 and 2."""
+def _agreement(systems, sizes, bits: int) -> tuple[int, int, int]:
+    """(found, exhausted, skipped) over every system, semiring and size,
+    after asserting that search_wtg finds a proof iff the oracle does."""
     found = exhausted = skipped = 0
-    for path in sorted(SYSTEMS.glob("*.gts")):
-        system = parse_system_file(path.read_text())
-        for kind_name, size in itertools.product(("arithmetic", "tropical", "arctic"), (1, 2)):
+    for name, system in systems:
+        for kind_name, size in itertools.product(("arithmetic", "tropical", "arctic"), sizes):
             kind = SEMIRINGS[kind_name]
-            expected = oracle_has_proof(system, kind, size, 1, limit=20_000)
+            expected = oracle_has_proof(system, kind, size, bits, limit=20_000)
             if expected is None:
                 skipped += 1
                 continue
-            out = search_wtg(system.rules, system.framework, kind, SearchBudget(size, 1, 3600))
-            assert out.status == ("found" if expected else "exhausted"), (
-                path.stem, kind_name, size
-            )
+            out = search_wtg(system.rules, system.framework, kind, SearchBudget(size, bits, 3600))
+            assert out.status == ("found" if expected else "exhausted"), (name, kind_name, size)
             found += expected
             exhausted += not expected
-    assert (found, exhausted, skipped) == (11, 31, 6)
+    return found, exhausted, skipped
+
+
+def _shipped():
+    return [(p.stem, parse_system_file(p.read_text())) for p in sorted(SYSTEMS.glob("*.gts"))]
+
+
+def test_search_agrees_with_the_brute_force_oracle_at_bits_1():
+    """search_wtg finds a proof within a budget iff the oracle does, for
+    the shipped systems over all three semirings at sizes 1 and 2."""
+    assert _agreement(_shipped(), (1, 2), 1) == (11, 31, 6)
+
+
+def test_search_agrees_with_the_brute_force_oracle_at_size_1_bits_2():
+    """The same at size 1 and bits 2, where forcing present the elements
+    every closure requires, and cancelling shared factors, prune most,
+    and for the string rules a^3 b -> a^3 c and c d^3 -> d^3 b too."""
+    systems = _shipped() + [("string3", parse_system_file(STRING3))]
+    assert _agreement(systems, (1,), 2) == (3, 24, 0)
