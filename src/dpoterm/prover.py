@@ -18,6 +18,13 @@ forces present the elements that every candidate requires, and it
 cancels the factors that every term of both sides of a constraint
 shares. Both only tighten the bounds, on subtrees that hold no leaf, so
 the first leaf found, and its certificate, stays the same.
+
+A tried weight re-evaluates only the constraints that deciding it can
+make count, and stops at the first one that settles it: one that is
+definitely active and not weakly decreasing, or, over a semiring that
+is not strictly monotonic, one that leaves too few rules uniformly
+decreasing. States only tighten down a branch, so neither shortcut
+changes which assignments are visited.
 """
 from __future__ import annotations
 
@@ -326,6 +333,7 @@ class _Problem:
         # a weight w costs w - one and absence is free
         self.max_cost = sum(self.wmax[v] - neutral for v in branchable)
         self._tighten()
+        self._trim_var_cids()
 
     def _tighten(self):
         """Two inferences from what every leaf holds, which prune only
@@ -374,6 +382,25 @@ class _Problem:
             self.constraints[cid] = (
                 ri, tk_sup & keep, tuple(map(reduced, lterms)), tuple(map(reduced, rterms))
             )
+
+    def _trim_var_cids(self):
+        """Keep in var_cids[v] only the constraints that deciding v can
+        make count: those a closure candidate reads, and those whose t_K
+        support holds no variable after v in var_order. Any other one is
+        not definitely active until its last t_K variable is decided,
+        which re-evaluates it, so until then it blocks no rule; its stale
+        state is read only for vacuity, which _relevant takes from the
+        masks instead."""
+        depth = {v: d for d, v in enumerate(self.var_order)}
+        closure = {cand.tkc_cid for cands in self.cands for cand in cands}
+        last = [
+            max((depth[g] for g in self._mask_gids(tk_sup)), default=-1)
+            for _, tk_sup, _, _ in self.constraints
+        ]
+        for v in self.var_order:
+            self.var_cids[v] = [
+                cid for cid in self.var_cids[v] if cid in closure or last[cid] <= depth[v]
+            ]
 
     def _build_symmetry(self):
         """One gid permutation per adjacent transposition of base
@@ -531,8 +558,10 @@ class _Search:
             self.deep_wmax[d - 1] = max(self.deep_wmax[d], problem.wmax[order[d]])
         self.cons = problem.constraints
         self.var_occ = problem.var_occ
-        # _dfs moves a blocker to the front of its list, which changes
-        # the order of evaluation but no state it leaves
+        # the constraints that deciding each variable re-evaluates (see
+        # _Problem._trim_var_cids); _dfs moves a blocker to the front of
+        # its list, which changes the order of evaluation but no state it
+        # leaves
         self.var_cids = problem.var_cids
         self.var_cands: list[list] = [[] for _ in range(problem.nvars)]
         for ri, cands in enumerate(problem.cands):
@@ -719,6 +748,12 @@ class _Search:
                 removable += 1
         return removable < target
 
+    def _shut(self, cid, target: int) -> bool:
+        """Whether uniform-blocking constraint cid leaves fewer than
+        target rules that can still be uniformly decreasing."""
+        ri, blocked, no = self.cons[cid][0], self.uniform_blocked, self.p.unremovable
+        return sum(r != ri and not (blocked[r] or no[r]) for r in range(len(no))) < target
+
     # --- leaf extraction ------------------------------------------------
 
     def _leaf(self, target: int):
@@ -782,10 +817,11 @@ class _Search:
         """A variable whose every occurrence sits in a dead term or a
         vacuous constraint, and that no feasible closure still requires,
         cannot influence anything; it is fixed without branching."""
-        cstate = self.cstate
+        cons = self.cons
         absent = self.absent_mask
         for cid, tsup in self.var_occ[v]:
-            if cstate[cid][4]:
+            # a vacuous constraint; its state may be stale
+            if cons[cid][1] & absent:
                 continue
             if tsup is None or not (tsup & absent):
                 return True
@@ -824,6 +860,9 @@ class _Search:
         lo, hi = self.lo, self.hi
         cids = self.var_cids[v]
         cstate = self.cstate
+        # over a semiring that is not strictly monotonic only a uniformly
+        # decreasing rule is removed (see _removal)
+        uniform_only = not p.kind.strictly_monotonic
         weak0 = self.weak_blocked[:]
         uniform0 = self.uniform_blocked[:]
         for value in values:
@@ -843,12 +882,18 @@ class _Search:
                 # decreasing decides the prune on its own: it is also
                 # uniform-blocked (two empty sides always compare
                 # weakly), so its rule is neither removable nor weak and
-                # _prune would reject the value.
+                # _prune would reject the value. Over a semiring that is
+                # not strictly monotonic so does a uniform blocker that
+                # leaves fewer than target rules uniformly decreasing:
+                # states only tighten, so no rule it counts as blocked
+                # is unblocked by the constraints still to evaluate.
                 saved = []
                 blocker = None
                 for i, cid in enumerate(cids):
                     st = self._eval(self, cid)
-                    if st[3] and not st[0]:
+                    if st[3] and not (st[1] or st[2]) and (
+                        not st[0] or uniform_only and self._shut(cid, target)
+                    ):
                         blocker = i
                         break
                     old = cstate[cid]

@@ -22,6 +22,7 @@ from dpoterm.prover import (
     _masked_step,
     _Problem,
     _Search,
+    _tiers,
     parse_strategy,
     run_strategy,
     search_wtg,
@@ -282,6 +283,10 @@ def test_search_node_counts_pin_the_search_tree():
             )
             assert out.nodes <= old, (kind, size)
             assert (out.status, out.nodes) == ("exhausted", new), (kind, size)
+    # the exhaustion that the default strategy walks on limitations_tau
+    for kind, nodes in (("arithmetic", 18), ("tropical", 2_481), ("arctic", 18)):
+        out = search_wtg(tau.rules, tau.framework, SEMIRINGS[kind], SearchBudget(2, 4, 3600))
+        assert (out.status, out.nodes) == ("exhausted", nodes), kind
     tree = load("tree_counter")
     out = search_wtg(
         tree.rules, tree.framework, SEMIRINGS["arithmetic"], SearchBudget(1, 4, 3600)
@@ -570,12 +575,15 @@ def test_leaves_pass_the_checker_and_bounds_bracket_full_assignments():
     definitely active and not weakly decreasing under a partial
     assignment stays so under its completion; more generally the partial
     state over-approximates the completed one. The same holds for states
-    computed under a finite cost budget and every completion within it."""
+    computed under a finite cost budget and every completion within it,
+    and for the partial extension that decides the next variable under
+    the smaller budget its cost leaves."""
     rng = random.Random(2024)
-    # a stream of its own, so the uncapped cases stay as they were
+    # streams of their own, so the earlier cases stay as they were
     budget_rng = random.Random(2025)
+    next_rng = random.Random(2026)
     leaves = blocked = 0
-    capped_blocked = tightened = 0
+    capped_blocked = tightened = extended = 0
     systems = [parse_system_file(path.read_text()) for path in sorted(SYSTEMS.glob("*.gts"))]
     for system, kind, size, bits in itertools.product(
         systems, ("arithmetic", "tropical", "arctic"), (1, 2), (1, 2)
@@ -619,20 +627,30 @@ def test_leaves_pass_the_checker_and_bounds_bracket_full_assignments():
                 budget = left
                 budget_rng.shuffle(undecided)
                 for v in undecided:
-                    # a weight w costs w - one and absence is free
-                    costs = {x: 0 if x == ABSENT else x - problem.neutral for x in problem.domain[v]}
-                    x = budget_rng.choice([x for x in problem.domain[v] if costs[x] <= budget])
+                    afforded = [x for x in problem.domain[v] if _cost(problem, x) <= budget]
+                    x = budget_rng.choice(afforded)
                     completion[v] = x
-                    budget -= costs[x]
-                for st, c in zip(states, _assign(search, completion)):
-                    if st[3] and not st[0]:
-                        capped_blocked += 1
-                        assert c[3] and not c[0]
-                    assert c[4] or all(st[i] or not c[i] for i in range(3))
-                    assert c[3] or not st[3]
-                    assert c[4] or not st[4]
+                    budget -= _cost(problem, x)
+                capped_blocked += sum(st[3] and not st[0] for st in states)
+                _assert_covers(states, _assign(search, completion))
+            # Deciding the first undecided variable of var_order, under the
+            # smaller cap its cost leaves the others, tightens every state:
+            # the DFS's blockers and the constraints it leaves unevaluated
+            # rely on this.
+            v = next((v for v in problem.var_order if partial[v] is None), None)
+            if v is not None:
+                x = next_rng.choice([x for x in problem.domain[v] if _cost(problem, x) <= left])
+                cap = left - _cost(problem, x) + problem.neutral
+                extension = _assign(search, {**partial, v: x}, cap=cap)
+                _assert_covers(states, extension)
+                extended += sum(st != e for st, e in zip(states, extension))
     assert leaves > 0 and blocked > 0
-    assert capped_blocked > 0 and tightened > 0
+    assert capped_blocked > 0 and tightened > 0 and extended > 0
+
+
+def _cost(problem, x):
+    """A weight w costs w - one and absence is free."""
+    return 0 if x == ABSENT else x - problem.neutral
 
 
 def _reference_side(terms, absent, undecided, val, kind, wmax):
@@ -822,3 +840,81 @@ def test_tightening_keeps_every_found_step(monkeypatch):
         problem = _Problem(system.rules, system.framework, SEMIRINGS[kind], 2, size)
         one_valued += sum(len(problem.domain[v]) == 1 for v in problem.var_order)
     assert one_valued == 3
+
+
+def test_trimmed_constraint_lists_keep_every_search(monkeypatch):
+    """Deciding a variable re-evaluates only the constraints that a closure
+    candidate reads and those whose t_K support holds no later variable,
+    and over tropical and arctic a tried value stops at a uniform blocker
+    that leaves fewer than target rules. Each dropped constraint is not
+    definitely active before its last t_K variable is decided, and each
+    early stop is a value that _prune rejects, so every search visits the
+    same tree as with neither: the same status, step and node count."""
+
+    def neither(m):
+        m.setattr(_Problem, "_trim_var_cids", lambda self: None)
+        m.setattr(_Search, "_shut", lambda self, cid, target: False)
+
+    systems = [(path.stem, load(path.stem)) for path in sorted(SYSTEMS.glob("*.gts"))]
+    systems += [("string3", parse_system_file(STRING3))]
+    systems += [("two_kept_loops", parse_system_file(TWO_KEPT_LOOPS))]
+    dropped = 0
+    for (name, system), kind, size in itertools.product(
+        systems, ("arithmetic", "tropical", "arctic"), (1, 2)
+    ):
+        if size == 2 and name == "tree_counter" and kind != "arithmetic":
+            continue  # 984,667 and 392,811 nodes, searched twice
+        args = (system.rules, system.framework, SEMIRINGS[kind], SearchBudget(size, 2, 3600))
+        out = search_wtg(*args)
+        problem = _Problem(system.rules, system.framework, SEMIRINGS[kind], 2, size)
+        with monkeypatch.context() as m:
+            neither(m)
+            full = search_wtg(*args)
+            untrimmed = _Problem(system.rules, system.framework, SEMIRINGS[kind], 2, size)
+        got, want = (out.status, out.step, out.nodes), (full.status, full.step, full.nodes)
+        assert got == want, (name, kind, size)
+        depth = {v: d for d, v in enumerate(problem.var_order)}
+        closure = {cand.tkc_cid for cands in problem.cands for cand in cands}
+        for v in problem.var_order:
+            kept = set(problem.var_cids[v])
+            assert problem.var_cids[v] == [c for c in untrimmed.var_cids[v] if c in kept]
+            for cid in set(untrimmed.var_cids[v]) - kept:
+                tk_sup = problem.constraints[cid][1]
+                assert cid not in closure, (name, kind, size)
+                assert any(depth[g] > depth[v] for g in problem._mask_gids(tk_sup))
+                dropped += 1
+    assert dropped > 0
+
+    # the rules that can still be uniformly decreasing are counted against
+    # the target: STRING3's arctic step at size 2 removes both of its
+    # rules, and no tropical step removes three of tree_counter's six
+    shut = []
+    real = _Search._shut
+
+    def counted(m):
+        def shut_counted(self, cid, target):
+            shut.append(real(self, cid, target))
+            return shut[-1]
+
+        m.setattr(_Search, "_shut", shut_counted)
+
+    cases = [
+        (parse_system_file(STRING3), "arctic", 1, 2, 2),
+        (load("tree_counter"), "tropical", 4, 1, 3),
+    ]
+    for system, kind, bits, size, target in cases:
+        walks = []
+        for patch in (counted, neither):
+            with monkeypatch.context() as m:
+                patch(m)
+                problem = _Problem(system.rules, system.framework, SEMIRINGS[kind], bits, size)
+                search = _Search(problem, None)
+                walk = []
+                for tier in _tiers(problem.max_cost):
+                    walk.append((search.run(tier, target), search.nodes))
+                    if walk[-1][0] is not None:
+                        break
+                walks.append(walk)
+        assert walks[0] == walks[1], (kind, target)
+        assert (walks[0][-1][0] is not None) == (target == 2), (kind, target)
+    assert True in shut and False in shut
