@@ -179,7 +179,6 @@ def parse_strategy(text: str):
 class SearchOutcome:
     status: str  # found | exhausted | timeout
     step: Optional[CertStep] = None
-    removed: tuple[str, ...] = ()
     warnings: tuple[str, ...] = ()
     # DFS nodes summed over the sizes searched; never enters certificates
     nodes: int = 0
@@ -232,14 +231,6 @@ def complete_type_graph(sig: IndexSignature, node_counts: dict[str, int]) -> CGr
     return CGraph(sig, tuple(tuple(a) for a in args), tuple(tuple(l) for l in labels))
 
 
-def legal_weight_values(k: SemiringDescriptor, bits: int) -> range:
-    """Weight search domain bounded by the bit budget (bits >= 1, as
-    SearchBudget checks)."""
-    if k.kind == "arithmetic":
-        return range(1, 2**bits + 1)
-    return range(0, 2**bits)
-
-
 class _Problem:
     """Everything precomputed for one (rules, framework, kind, size)."""
 
@@ -274,9 +265,9 @@ class _Problem:
             for lab in sig.element_labels(s)
         }
 
-        neutral = sr.one(kind)
-        weights = list(legal_weight_values(kind, bits))
-        self.neutral = neutral
+        # the bit budget's weights, from the least legal one up
+        neutral = self.neutral = kind.one
+        weights = list(range(neutral, neutral + 2**bits))
         # one shared domain per (admissible, base) pair
         domains = {
             (adm, base): (weights if adm else [neutral]) + ([] if base else [ABSENT])
@@ -291,8 +282,7 @@ class _Problem:
                 self.domain.append(domains[adm, sig.is_base(s)])
                 self.wmax.append(weights[-1] if adm else neutral)
 
-        self._build_constraints()
-        self._build_candidates()
+        self._build_rules()
         self._build_symmetry()
         if epi is None:
             epi = [detect_collapse_epi(r) for r in rules]
@@ -306,7 +296,8 @@ class _Problem:
         # taken before _tighten, which leaves every found step as it was.
         occurrence = [0] * self.nvars
         # occurrences for the relevance test: (cid, None) when the var is
-        # in the t_K support, else (cid, term support mask)
+        # in the t_K support, else (cid, term support mask), and one
+        # (closure cid, required mask) per closure candidate requiring it
         self.var_occ: list[list[tuple]] = [[] for _ in range(self.nvars)]
         self.var_cids: list[list[int]] = [[] for _ in range(self.nvars)]
         for cid, (_, tk_sup, lterms, rterms) in enumerate(self.constraints):
@@ -325,6 +316,11 @@ class _Problem:
                 touched.update(term_gids)
             for g in touched:
                 self.var_cids[g].append(cid)
+        for cands in self.cands:
+            for cand in cands:
+                occ = (cand.tkc_cid, cand.required)
+                for g in self._mask_gids(cand.required):
+                    self.var_occ[g].append(occ)
         branchable = [v for v in range(self.nvars) if len(self.domain[v]) > 1]
         # exactly the non-base elements have a mask bit
         self.var_order = sorted(
@@ -435,59 +431,56 @@ class _Problem:
                 m |= self.bit[self.offset[s] + j]
         return m
 
-    def _build_constraints(self):
-        sig, T = self.sig, self.T
-        # constraint: (rule_idx, tk_support, L_terms, R_terms), one per
-        # t_K with an extension along l or r (any other weighs zero on
-        # both sides and constrains nothing), with
-        # term = (support, factors, k): factors lists each weighed gid once
-        # per element mapped onto it, and k counts the homs that gave this
-        # identical term, merged in first-occurrence order
+    def _build_rules(self):
+        """One pass per rule over its sides' homs into T: the rule's
+        constraints, then its closure candidates.
+
+        constraint: (rule_idx, tk_support, L_terms, R_terms), one per
+        t_K with an extension along l or r (any other weighs zero on
+        both sides and constrains nothing), with
+        term = (support, factors, k): factors lists each weighed gid once
+        per element mapped onto it, and k counts the homs that gave this
+        identical term, merged in first-occurrence order."""
+        T = self.T
+        fbases = list(flower_bases(T))
         self.constraints: list[tuple] = []
-        self.tk_index: list[dict[tuple, int]] = []
+        self.cands: list[list[_Cand]] = []
         for ri, rule in enumerate(self.rules):
-            index = {}
-            sides = [
-                (side, extensions_by_restriction(side, T)) for side in (rule.l, rule.r)
-            ]
-            for t_k in {**sides[0][1], **sides[1][1]}:
-                tk_sup = self._image_mask(t_k)
+            lefts = extensions_by_restriction(rule.l, T)
+            rights = extensions_by_restriction(rule.r, T)
+            tk_cid = {}
+            for t_k in {**lefts, **rights}:
                 terms_by_side = []
-                for side, groups in sides:
+                for side, groups in ((rule.l, lefts), (rule.r, rights)):
                     homs: dict[tuple, int] = {}
                     for t_y in groups.get(t_k, ()):
                         factors = []
-                        for s in range(len(sig.objects)):
+                        for s, row in enumerate(t_y.maps):
                             lab_row = side.cod.labels[s]
-                            for i, j in enumerate(t_y.maps[s]):
+                            for i, j in enumerate(row):
                                 if self.admissible[(s, lab_row[i])]:
                                     factors.append(self.offset[s] + j)
                         term = (self._image_mask(t_y.maps), tuple(sorted(factors)))
                         homs[term] = homs.get(term, 0) + 1
                     terms_by_side.append(tuple((*t, k) for t, k in homs.items()))
-                index[t_k] = len(self.constraints)
-                self.constraints.append((ri, tk_sup, terms_by_side[0], terms_by_side[1]))
-            self.tk_index.append(index)
-
-    def _build_candidates(self):
-        sig, T = self.sig, self.T
-        fbases = list(flower_bases(T))
-        self.cands: list[list[_Cand]] = []
-        for ri, rule in enumerate(self.rules):
-            cands: dict[tuple, _Cand] = {}
+                tk_cid[t_k] = len(self.constraints)
+                self.constraints.append((ri, self._image_mask(t_k), *terms_by_side))
+            # (closure, its t_K, the flower bases it may saturate with)
             if self.fw.match_class == "unrestricted":
                 cs = []
                 for fb in fbases:
                     c = flower_morphism(rule.left, T, fb)
                     if c is not None:
-                        cs.append((c, fb))
+                        cs.append((c, compose(c, rule.l).maps, [fb]))
             else:
-                cs = [(c, None) for c in enumerate_homs(rule.left, T)]
-            for c, fb in cs:
+                # the left groups hold every hom L -> T
+                cs = [(c, t_k, fbases) for t_k, homs in lefts.items() for c in homs]
+            cands: dict[tuple, _Cand] = {}
+            for c, t_kc, fbs in cs:
                 image = image_elements(c)
                 best_req = None
-                for fb2 in [fb] if fb is not None else fbases:
-                    start = image | {(s, i) for (s, _), i in fb2.items()}
+                for fb in fbs:
+                    start = image | {(s, i) for (s, _), i in fb.items()}
                     sat = saturation_closure(T, start)
                     if sat is None:
                         continue
@@ -496,22 +489,13 @@ class _Problem:
                         req |= self.bit[self.offset[s] + i]
                     if best_req is None or bin(req).count("1") < bin(best_req).count("1"):
                         best_req = req
-                if best_req is None:
-                    continue
-                tkc = compose(c, rule.l).maps
-                cid = self.tk_index[ri][tkc]
-                lk_monic = all(
-                    len({c.maps[s][rule.l.maps[s][k]] for k in range(rule.interface.n(s))})
-                    == rule.interface.n(s)
-                    for s in range(len(sig.objects))
-                )
                 key = (c.maps, best_req)
-                if key not in cands:
-                    cands[key] = _Cand(c.maps, best_req, cid, lk_monic)
-            ordered = sorted(
-                cands.values(), key=lambda cd: (not cd.monic_on_k, cd.maps)
+                if best_req is not None and key not in cands:
+                    monic_on_k = all(len(set(row)) == len(row) for row in t_kc)
+                    cands[key] = _Cand(c.maps, best_req, tk_cid[t_kc], monic_on_k)
+            self.cands.append(
+                sorted(cands.values(), key=lambda cd: (not cd.monic_on_k, cd.maps))
             )
-            self.cands.append(ordered)
 
 
 # constraint state tuple: (weak_p, strict_p, both_p, def_active, dead)
@@ -563,11 +547,6 @@ class _Search:
         # its list, which changes the order of evaluation but no state it
         # leaves
         self.var_cids = problem.var_cids
-        self.var_cands: list[list] = [[] for _ in range(problem.nvars)]
-        for ri, cands in enumerate(problem.cands):
-            for cand in cands:
-                for g in problem._mask_gids(cand.required):
-                    self.var_cands[g].append(cand)
         self.cstate = [None] * len(self.cons)
         nr = len(problem.rules)
         self.weak_blocked = [0] * nr
@@ -759,19 +738,17 @@ class _Search:
     def _leaf(self, target: int):
         p = self.p
         entries = []
-        removed = []
+        removed = 0
         for ri, rule in enumerate(p.rules):
             chosen = self._removal(ri)
             if chosen is not None:
-                removed.append(ri)
+                removed += 1
                 entries.append((rule.name, *chosen))
             elif self.weak_blocked[ri] == 0:
                 entries.append((rule.name, "weak", None))
             else:
                 return None
-        if len(removed) < max(1, target):
-            return None
-        return entries, removed
+        return entries if removed >= max(1, target) else None
 
     # --- DFS -------------------------------------------------------------
 
@@ -816,7 +793,9 @@ class _Search:
     def _relevant(self, v: int) -> bool:
         """A variable whose every occurrence sits in a dead term or a
         vacuous constraint, and that no feasible closure still requires,
-        cannot influence anything; it is fixed without branching."""
+        cannot influence anything; it is fixed without branching. A
+        closure's t_K lies in what it requires, so its constraint is
+        vacuous only when the closure is dead."""
         cons = self.cons
         absent = self.absent_mask
         for cid, tsup in self.var_occ[v]:
@@ -825,14 +804,9 @@ class _Search:
                 continue
             if tsup is None or not (tsup & absent):
                 return True
-        for cand in self.var_cands[v]:
-            if not cand.required & absent:
-                return True
         return False
 
     def _dfs(self, depth: int, cost: int, tier: int, target: int):
-        if self.found is not None:
-            return
         self.nodes += 1
         if self.node_stop is not None and self.nodes > self.node_stop:
             raise _Budget
@@ -841,9 +815,9 @@ class _Search:
             raise _Timeout
         p = self.p
         if depth == len(p.var_order):
-            got = self._leaf(target)
-            if got is not None:
-                self.found = (got[0], got[1], list(self.val))
+            entries = self._leaf(target)
+            if entries is not None:
+                self.found = (entries, list(self.val))
             return
         v = p.var_order[depth]
         bit = p.bit[v]
@@ -926,8 +900,7 @@ def _tiers(max_cost: int):
     # small tiers find the sparse published-style certificates quickly;
     # anything heavier is rare enough that one unbounded walk beats
     # re-walking an almost-full tree per tier on unsatisfiable instances
-    out = [0, 1, 2, 3, 4, 5, 6, 8, max_cost]
-    return [b for i, b in enumerate(out) if b <= max_cost and (i == 0 or b > out[i - 1])]
+    return [t for t in (0, 1, 2, 3, 4, 5, 6, 8) if t < max_cost] + [max_cost]
 
 
 def _masked_step(problem: _Problem, entries, val) -> CertStep:
@@ -1000,11 +973,8 @@ def search_wtg(
             for tier in _tiers(problem.max_cost):
                 found = search.run(tier, target=1)
                 if found is not None:
-                    entries, _, val = found
-                    step = _masked_step(problem, entries, val)
-                    return SearchOutcome(
-                        "found", step, step.removed, tuple(warnings), nodes + search.nodes
-                    )
+                    step = _masked_step(problem, *found)
+                    return SearchOutcome("found", step, tuple(warnings), nodes + search.nodes)
         except _Timeout:
             warnings.append(
                 f"{kind.kind} search at size {n} hit its {budget.timeout_seconds} s "
@@ -1043,7 +1013,7 @@ def _interp(node, system: System, remaining, steps, warnings) -> tuple[bool, lis
         if outcome.status != "found":
             return False, remaining
         steps.append(outcome.step)
-        left = [r for r in remaining if r.name not in outcome.removed]
+        left = [r for r in remaining if r.name not in outcome.step.removed]
         return True, left
     # a node that fails leaves remaining as it was
     if isinstance(node, (Seq, Par)):

@@ -22,25 +22,24 @@ class SemiringError(ValueError):
 
 @dataclass(frozen=True)
 class SemiringDescriptor:
+    """A semiring (S, add, mul, zero, one) on the naturals, whose zero is
+    0, +inf or -inf; one is also the least legal element weight. mul
+    and add are unchecked, for values already known to be legal; min-plus
+    and max-plus get a + (+-inf) = +-inf from float +."""
+
     kind: str
     strictly_monotonic: bool
+    zero: Weight
+    one: int
+    mul: Callable[[Weight, Weight], Weight]
+    add: Callable[[Weight, Weight], Weight]
 
 
-ARITHMETIC = SemiringDescriptor("arithmetic", True)
-TROPICAL = SemiringDescriptor("tropical", False)
-ARCTIC = SemiringDescriptor("arctic", False)
+ARITHMETIC = SemiringDescriptor("arithmetic", True, 0, 1, operator.mul, operator.add)
+TROPICAL = SemiringDescriptor("tropical", False, POS_INF, 0, operator.add, min)
+ARCTIC = SemiringDescriptor("arctic", False, NEG_INF, 0, operator.add, max)
 
 SEMIRINGS = {s.kind: s for s in (ARITHMETIC, TROPICAL, ARCTIC)}
-
-
-def zero(k: SemiringDescriptor) -> Weight:
-    if k.kind == "arithmetic":
-        return 0
-    return POS_INF if k.kind == "tropical" else NEG_INF
-
-
-def one(k: SemiringDescriptor) -> Weight:
-    return 1 if k.kind == "arithmetic" else 0
 
 
 def is_value(k: SemiringDescriptor, a: Weight) -> bool:
@@ -48,9 +47,8 @@ def is_value(k: SemiringDescriptor, a: Weight) -> bool:
         return False
     if isinstance(a, int):
         return a >= 0
-    return (k.kind == "tropical" and a == POS_INF) or (
-        k.kind == "arctic" and a == NEG_INF
-    )
+    # the infinite zero of tropical and arctic; arithmetic's zero is an int
+    return not isinstance(k.zero, int) and a == k.zero
 
 
 def _check(k: SemiringDescriptor, *vals: Weight) -> None:
@@ -59,25 +57,9 @@ def _check(k: SemiringDescriptor, *vals: Weight) -> None:
             raise SemiringError(f"{a!r} is not a value of the {k.kind} semiring")
 
 
-# (product, sum) per kind; min-plus and max-plus get the absorption
-# a + (+-inf) = +-inf from float +
-_PLAIN: dict[str, tuple[Callable, Callable]] = {
-    "arithmetic": (operator.mul, operator.add),
-    "tropical": (operator.add, min),
-    "arctic": (operator.add, max),
-}
-
-
-def plain_ops(k: SemiringDescriptor) -> tuple[Callable, Callable]:
-    """The semiring's (product, sum) on plain values, unchecked: for
-    values already known to be legal, such as validated weights and
-    their products."""
-    return _PLAIN[k.kind]
-
-
 def s_mul(k: SemiringDescriptor, a: Weight, b: Weight) -> Weight:
     _check(k, a, b)
-    return _PLAIN[k.kind][0](a, b)
+    return k.mul(a, b)
 
 
 def s_cmp(k: SemiringDescriptor, a: Weight, b: Weight) -> int:
@@ -104,5 +86,4 @@ def is_legal_element_weight(k: SemiringDescriptor, w: Weight) -> bool:
     """
     if not isinstance(w, int) or isinstance(w, bool):
         return False
-    return w >= 1 if k.kind == "arithmetic" else w >= 0
-
+    return w >= k.one

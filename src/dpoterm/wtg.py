@@ -66,7 +66,7 @@ class WeightedTypeGraph:
         """(sort, type-graph id) -> the semiring product of the weights
         of the elements on that element. A homomorphism preserves
         labels, so the label of what lands there is the element's own."""
-        mul, _ = sr.plain_ops(self.semiring)
+        mul = self.semiring.mul
         table: dict[tuple[int, int], Weight] = {}
         for we in self.elements:
             key = (we.sort, we.target)
@@ -100,9 +100,9 @@ def weight_of_morphism(
     if exclude is not None and exclude.cod != phi.dom:
         raise MorphismError("weight: exclusion morphism does not end in dom(phi)")
     G = phi.dom
-    mul, _ = sr.plain_ops(wtg.semiring)
+    mul = wtg.semiring.mul
     table = wtg.weight_table
-    acc = sr.one(wtg.semiring)
+    acc = wtg.semiring.one
     # each element y of G is one occurrence of every weighted element
     # on phi(y)
     for s in range(len(G.sig.objects)):
@@ -119,10 +119,8 @@ def weight_of_morphism(
 
 def _weight_sum(wtg: WeightedTypeGraph, homs) -> Weight:
     """The semiring sum of the weights of the given morphisms."""
-    _, add = sr.plain_ops(wtg.semiring)
-    return reduce(
-        add, (weight_of_morphism(wtg, phi) for phi in homs), sr.zero(wtg.semiring)
-    )
+    k = wtg.semiring
+    return reduce(k.add, (weight_of_morphism(wtg, phi) for phi in homs), k.zero)
 
 
 def weight_of_object(wtg: WeightedTypeGraph, G: CGraph) -> Weight:

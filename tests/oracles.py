@@ -9,8 +9,8 @@ interface assignment, which the prover and the checker only compare.
 
 The semiring's addition `s_add`, its sums `s_sum` and its powers
 `s_pow` check that every operand is a value of the semiring; the
-program weighs with `semiring.plain_ops` once the weights are
-validated.
+program weighs with the semiring descriptor's unchecked `mul`, `add`,
+`zero` and `one` once the weights are validated.
 
 The paper's weighted element is a morphism e: X -> T from a domain X.
 `representable_shapes` gives the domains the program admits, and
@@ -55,7 +55,7 @@ def s_add(k: SemiringDescriptor, a: Weight, b: Weight) -> Weight:
 
 
 def s_sum(k: SemiringDescriptor, vals) -> Weight:
-    acc = sr.zero(k)
+    acc = k.zero
     for v in vals:
         acc = s_add(k, acc, v)
     return acc
@@ -68,7 +68,7 @@ def s_pow(k: SemiringDescriptor, a: Weight, n: int) -> Weight:
     if n < 0:
         raise SemiringError("negative exponent")
     if n == 0:
-        return sr.one(k)
+        return k.one
     if k.kind == "arithmetic":
         return a**n
     return a * n
@@ -159,7 +159,7 @@ def brute_weight(
     """w(phi) by definition, for weighted elements given as (e: X -> T,
     weight): each weighs in once per a: X -> dom(phi) with phi∘a = e,
     and with exclude = alpha only when a does not factor through alpha."""
-    acc = sr.one(k)
+    acc = k.one
     for e, weight in elements:
         n = sum(
             1
@@ -187,7 +187,7 @@ def checked_weight_of_morphism(wtg: WeightedTypeGraph, phi: Morphism) -> Weight:
     """w(phi) as one checked semiring product per element of dom(phi)
     and weighted element on its image."""
     k = wtg.semiring
-    acc = sr.one(k)
+    acc = k.one
     G = phi.dom
     for s in range(len(G.sig.objects)):
         for y in range(G.n(s)):

@@ -143,7 +143,7 @@ def test_criterion_1_tau_exhaustion():
 
 
 def _values(k):
-    vals = list(range(8)) + [sr.zero(k), sr.one(k)]
+    vals = list(range(8)) + [k.zero, k.one]
     return sorted({v for v in vals if sr.is_value(k, v)}, key=lambda v: (v,))
 
 
@@ -151,13 +151,13 @@ def test_criterion_2_semiring_axioms():
     checked = 0
     for k in (ARITHMETIC, TROPICAL, ARCTIC):
         vals = _values(k)
-        zero, one = sr.zero(k), sr.one(k)
+        zero, one = k.zero, k.one
         le = lambda a, b: sr.s_le(k, a, b)
         lt = lambda a, b: sr.s_lt(k, a, b)
         add = lambda a, b: s_add(k, a, b)
         mul = lambda a, b: sr.s_mul(k, a, b)
         # the checked operations and the plain ones that weighing uses
-        for p_mul, p_add in ((mul, add), sr.plain_ops(k)):
+        for p_mul, p_add in ((mul, add), (k.mul, k.add)):
             for a, b, c in itertools.product(vals, repeat=3):
                 checked += 1
                 assert p_add(p_add(a, b), c) == p_add(a, p_add(b, c))

@@ -9,8 +9,9 @@ comparisons, `verify_context_closure` for the closures and
 iff some assignment leaves every rule at least weak and removes one.
 The oracle takes nothing from the prover's search: its element domains
 come from `oracles.representable_shapes`, the budget's saturated graphs
-and weights from the prover's `complete_type_graph` and
-`legal_weight_values`, and it builds the masked type graphs itself.
+from the prover's `complete_type_graph`, its weights are the 2**bits
+least legal ones, from the semiring descriptor's `one` up, and it builds
+the masked type graphs itself.
 """
 from __future__ import annotations
 
@@ -21,12 +22,7 @@ from typing import Optional
 from dpoterm import semiring as sr
 from dpoterm.graph import CGraph
 from dpoterm.morphism import compose, enumerate_homs
-from dpoterm.prover import (
-    SearchBudget,
-    complete_type_graph,
-    legal_weight_values,
-    search_wtg,
-)
+from dpoterm.prover import SearchBudget, complete_type_graph, search_wtg
 from dpoterm.semiring import SEMIRINGS
 from dpoterm.sysfile import parse_system_file
 from dpoterm.wtg import (
@@ -38,7 +34,7 @@ from dpoterm.wtg import (
 )
 
 from oracles import representable_shapes, s_sum, side_homs
-from test_prover import STRING3
+from test_prover import SEVEN_LOOPS, STRING3
 
 SYSTEMS = Path(__file__).resolve().parent.parent / "systems"
 
@@ -114,7 +110,7 @@ def _mask_has_proof(system, kind, T, present, domains) -> bool:
     if TM is None:
         return False
     sig = T.sig
-    one = sr.one(kind)
+    one = kind.one
     empty_wtg = WeightedTypeGraph(TM, (), kind)
     weighted = []  # (sort, id in TM) of elements with a choice of weight
     choices = []
@@ -188,8 +184,8 @@ def oracle_has_proof(system, kind, size: int, bits: int, limit: int) -> Optional
     when a size has more than limit assignments."""
     sig = system.rules[0].left.sig
     shape_keys = _shape_keys(system)
-    weights = list(legal_weight_values(kind, bits))
-    one = sr.one(kind)
+    one = kind.one
+    weights = list(range(one, one + 2**bits))
     for n in range(1, size + 1):
         T = complete_type_graph(sig, {sig.objects[s].name: n for s in sig.base_sorts})
         domains = {}
@@ -244,3 +240,10 @@ def test_search_agrees_with_the_brute_force_oracle_at_size_1_bits_2():
     and for the string rules a^3 b -> a^3 c and c d^3 -> d^3 b too."""
     systems = _shipped() + [("string3", parse_system_file(STRING3))]
     assert _agreement(systems, (1,), 2) == (3, 24, 0)
+
+
+def test_search_agrees_with_the_brute_force_oracle_at_a_top_tier_of_7():
+    """Seven loops whose only proofs cost 7, the maximum at size 1 and
+    bits 1: the search must walk the top tier too."""
+    systems = [("seven_loops", parse_system_file(SEVEN_LOOPS))]
+    assert _agreement(systems, (1,), 1) == (3, 0, 0)

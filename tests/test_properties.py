@@ -22,7 +22,7 @@ kinds = st.sampled_from([ARITHMETIC, TROPICAL, ARCTIC])
 
 
 def values_for(k):
-    extra = [sr.zero(k)] if not isinstance(sr.zero(k), int) else []
+    extra = [k.zero] if not isinstance(k.zero, int) else []
     return st.one_of(st.integers(min_value=0, max_value=40), st.sampled_from(extra or [0]))
 
 
@@ -36,18 +36,18 @@ def test_semiring_distributivity(k, data):
         k, sr.s_mul(k, a, b), sr.s_mul(k, a, c)
     )
     assert sr.s_mul(k, a, b) == sr.s_mul(k, b, a)
-    assert s_add(k, a, sr.zero(k)) == a
-    assert sr.s_mul(k, a, sr.zero(k)) == sr.zero(k)
-    mul, add = sr.plain_ops(k)
+    assert s_add(k, a, k.zero) == a
+    assert sr.s_mul(k, a, k.zero) == k.zero
+    mul, add = k.mul, k.add
     assert mul(a, add(b, c)) == add(mul(a, b), mul(a, c))
     assert (mul(a, b), add(a, b)) == (sr.s_mul(k, a, b), s_add(k, a, b))
-    assert add(a, sr.zero(k)) == a and mul(a, sr.zero(k)) == sr.zero(k)
+    assert add(a, k.zero) == a and mul(a, k.zero) == k.zero
 
 
 @given(kinds, st.integers(min_value=0, max_value=12), st.integers(min_value=0, max_value=5))
 @settings(max_examples=200, deadline=None)
 def test_semiring_pow_is_iterated_mul(k, a, n):
-    acc = sr.one(k)
+    acc = k.one
     for _ in range(n):
         acc = sr.s_mul(k, acc, a)
     assert s_pow(k, a, n) == acc

@@ -3,7 +3,6 @@ from __future__ import annotations
 import pytest
 
 from dpoterm import semiring as sr
-from dpoterm.prover import legal_weight_values
 from dpoterm.semiring import ARCTIC, ARITHMETIC, TROPICAL, NEG_INF, POS_INF
 
 from oracles import s_add, s_pow
@@ -32,8 +31,8 @@ def test_cmp_examples():
 def test_units():
     for k in (ARITHMETIC, TROPICAL, ARCTIC):
         for a in (0, 1, 5):
-            assert s_add(k, a, sr.zero(k)) == a
-            assert sr.s_mul(k, a, sr.one(k)) == a
+            assert s_add(k, a, k.zero) == a
+            assert sr.s_mul(k, a, k.one) == a
 
 
 def test_kind_mismatch():
@@ -55,15 +54,22 @@ def test_element_weight_legality():
 
 
 def test_weight_domains():
-    assert list(legal_weight_values(ARITHMETIC, 2)) == [1, 2, 3, 4]
-    assert list(legal_weight_values(TROPICAL, 2)) == [0, 1, 2, 3]
+    # legal element weights run from the semiring's one up; zero is not
+    # one of them, and it absorbs every value under the product
+    for k in (ARITHMETIC, TROPICAL, ARCTIC):
+        assert sr.is_legal_element_weight(k, k.one)
+        assert not sr.is_legal_element_weight(k, k.one - 1)
+        assert not sr.is_legal_element_weight(k, k.zero)
+        for a in (k.zero, k.one, 0, 1, 7):
+            if sr.is_value(k, a):
+                assert k.mul(a, k.zero) == k.mul(k.zero, a) == k.zero
 
 
 def test_well_foundedness_bound():
     # strictly decreasing chains in {0..N} + legal infinity have length <= N+2
     n = 16
     for k in (ARITHMETIC, TROPICAL, ARCTIC):
-        values = list(range(n + 1)) + [sr.zero(k), sr.one(k)]
+        values = list(range(n + 1)) + [k.zero, k.one]
         values = [v for v in values if sr.is_value(k, v)]
         distinct = sorted(set(values), key=lambda v: (v,))
         assert len(distinct) <= n + 2
