@@ -58,10 +58,11 @@ def _cmd_prove(args) -> int:
             return 1
     else:
         sys.stdout.write(text)
+    verdict = f"verdict {cert.verdict}"
     if cert.remaining:
-        print(f"verdict {cert.verdict} remaining=[{', '.join(cert.remaining)}]")
-    else:
-        print(f"verdict {cert.verdict}")
+        verdict += f" remaining=[{', '.join(cert.remaining)}]"
+    # without --out, standard output carries the certificate alone
+    print(verdict, file=sys.stdout if args.out else sys.stderr)
     return 0 if cert.verdict != "failed" else 2
 
 

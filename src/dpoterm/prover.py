@@ -37,7 +37,7 @@ from typing import Optional
 from . import semiring as sr
 from .checker import Certificate, CertStep, RuleEntry
 from .dpo import kept_subgraph
-from .graph import CGraph, GraphError
+from .graph import CGraph
 from .morphism import compose, enumerate_homs, extensions_by_restriction, image_elements
 from .semiring import SEMIRINGS, SemiringDescriptor
 from .signature import IndexSignature
@@ -200,30 +200,22 @@ class _Cand:
     monic_on_k: bool
 
 
-def complete_type_graph(sig: IndexSignature, node_counts: dict[str, int]) -> CGraph:
-    """The saturated graph: the given base elements, then exactly one
-    element per (argument tuple, label) for every non-base sort, built
-    in topological order so higher arities range over everything
-    already constructed.
+def complete_type_graph(sig: IndexSignature, n: int) -> CGraph:
+    """The saturated graph: n elements per label of every base sort,
+    then exactly one element per (argument tuple, label) for every
+    non-base sort, built in topological order so higher arities range
+    over everything already constructed. A labelled sort is no argument
+    target, so its label alone tells its base elements apart.
     """
     counts = [0] * len(sig.objects)
     args: list[list[tuple[int, ...]]] = [[] for _ in sig.objects]
     labels: list[list[Optional[str]]] = [[] for _ in sig.objects]
-    for s in sig.base_sorts:
-        name = sig.objects[s].name
-        if sig.objects[s].labels:
-            raise GraphError(f"labelled base sort {name!r} has no saturated form")
-        cnt = node_counts.get(name, 0)
-        if cnt < 1:
-            raise GraphError(f"base sort {name!r} needs a positive count")
-        counts[s] = cnt
-        args[s] = [()] * cnt
-        labels[s] = [None] * cnt
     for s in sig.topo_order:
         if sig.is_base(s):
-            continue
-        targets = sig.arg_sorts(s)
-        for tup in itertools.product(*(range(counts[t]) for t in targets)):
+            tuples = [()] * n
+        else:
+            tuples = itertools.product(*(range(counts[t]) for t in sig.arg_sorts(s)))
+        for tup in tuples:
             for lab in sig.element_labels(s):
                 args[s].append(tup)
                 labels[s].append(lab)
@@ -235,13 +227,13 @@ class _Problem:
     """Everything precomputed for one (rules, framework, kind, size)."""
 
     def __init__(self, rules, fw: Framework, kind: SemiringDescriptor, bits: int, n: int,
-                 *, epi: Optional[list[bool]] = None):
+                 *, epi: list[bool]):
         self.rules = rules
         self.fw = fw
         self.kind = kind
         sig: IndexSignature = rules[0].left.sig
         self.sig = sig
-        self.T = complete_type_graph(sig, {sig.objects[s].name: n for s in sig.base_sorts})
+        self.T = complete_type_graph(sig, n)
         T = self.T
         ns = len(sig.objects)
         self.offset = [0] * ns
@@ -284,8 +276,6 @@ class _Problem:
 
         self._build_rules()
         self._build_symmetry()
-        if epi is None:
-            epi = [detect_collapse_epi(r) for r in rules]
         # a rule whose right side folds onto its left never decreases
         # strictly over the arithmetic or arctic semiring
         self.unremovable = [e and kind.kind in ("arithmetic", "arctic") for e in epi]
@@ -360,7 +350,7 @@ class _Problem:
             terms = lterms + rterms
             # (factor, multiplicity) that every term holds
             common = []
-            for g in set(terms[0][1]) if terms else ():
+            for g in set(terms[0][1]):
                 n = min(factors.count(g) for _, factors, _ in terms)
                 if n:
                     common.append((g, n))
@@ -399,17 +389,20 @@ class _Problem:
             ]
 
     def _build_symmetry(self):
-        """One gid permutation per adjacent transposition of base
-        elements; the DFS keeps only lex-leading assignments. Saturated
-        graphs have exactly one element per (tuple, label), so the
-        automorphism that swaps two base elements and fixes the others
-        exists and is unique."""
+        """One gid permutation per transposition of two base elements
+        that are neighbours among those of their label; the DFS keeps
+        only lex-leading assignments. Saturated graphs have exactly one
+        element per (tuple, label), so the automorphism that swaps two
+        base elements of one label and fixes the others exists and is
+        unique."""
         sig, T = self.sig, self.T
         self.sym_perms: list[tuple[int, ...]] = []
         for s in sig.base_sorts:
-            for i in range(T.n(s) - 1):
+            # the labels of a base sort take turns (see complete_type_graph)
+            step = len(sig.element_labels(s))
+            for i in range(T.n(s) - step):
                 pins = {(t, j): j for t in sig.base_sorts for j in range(T.n(t))}
-                pins[s, i], pins[s, i + 1] = i + 1, i
+                pins[s, i], pins[s, i + step] = i + step, i
                 (h,) = enumerate_homs(T, T, constraint=pins)
                 self.sym_perms.append(
                     tuple(self.offset[t] + j for t, row in enumerate(h.maps) for j in row)
@@ -465,34 +458,32 @@ class _Problem:
                     terms_by_side.append(tuple((*t, k) for t, k in homs.items()))
                 tk_cid[t_k] = len(self.constraints)
                 self.constraints.append((ri, self._image_mask(t_k), *terms_by_side))
-            # (closure, its t_K, the flower bases it may saturate with)
+            # (closure, its t_K, the flower bases it may saturate with);
+            # T realizes every tuple, so each flower morphism and each
+            # saturation closure exists
             if self.fw.match_class == "unrestricted":
                 cs = []
                 for fb in fbases:
                     c = flower_morphism(rule.left, T, fb)
-                    if c is not None:
-                        cs.append((c, compose(c, rule.l).maps, [fb]))
+                    cs.append((c, compose(c, rule.l).maps, [fb]))
             else:
                 # the left groups hold every hom L -> T
                 cs = [(c, t_k, fbases) for t_k, homs in lefts.items() for c in homs]
             cands: dict[tuple, _Cand] = {}
             for c, t_kc, fbs in cs:
                 image = image_elements(c)
-                best_req = None
+                reqs = []
                 for fb in fbs:
                     start = image | {(s, i) for (s, _), i in fb.items()}
-                    sat = saturation_closure(T, start)
-                    if sat is None:
-                        continue
                     req = 0
-                    for s, i in sat:
+                    for s, i in saturation_closure(T, start):
                         req |= self.bit[self.offset[s] + i]
-                    if best_req is None or bin(req).count("1") < bin(best_req).count("1"):
-                        best_req = req
-                key = (c.maps, best_req)
-                if best_req is not None and key not in cands:
+                    reqs.append(req)
+                # the first of the least closures
+                req = min(reqs, key=int.bit_count)
+                if (c.maps, req) not in cands:
                     monic_on_k = all(len(set(row)) == len(row) for row in t_kc)
-                    cands[key] = _Cand(c.maps, best_req, tk_cid[t_kc], monic_on_k)
+                    cands[c.maps, req] = _Cand(c.maps, req, tk_cid[t_kc], monic_on_k)
             self.cands.append(
                 sorted(cands.values(), key=lambda cd: (not cd.monic_on_k, cd.maps))
             )
@@ -503,7 +494,7 @@ _VACUOUS = (True, True, True, False, True)
 
 
 class _Search:
-    def __init__(self, problem: _Problem, deadline: Optional[float]):
+    def __init__(self, problem: _Problem, deadline: float):
         self.p = problem
         self.deadline = deadline
         # the bound evaluator of this semiring, called per tried value as
@@ -548,9 +539,10 @@ class _Search:
         # leaves
         self.var_cids = problem.var_cids
         self.cstate = [None] * len(self.cons)
-        nr = len(problem.rules)
-        self.weak_blocked = [0] * nr
-        self.uniform_blocked = [0] * nr
+        # definitely active constraints that are not weakly decreasing,
+        # over all rules; only this loop counts any (see _dfs)
+        self.weak_blocked = 0
+        self.uniform_blocked = [0] * len(problem.rules)
         for cid in range(len(self.cons)):
             self._set_state(cid, self._eval(self, cid))
         self.nodes = 0
@@ -585,7 +577,6 @@ class _Search:
                 k *= lo[g]
             r_bot += k
         hi = self.hi
-        nonempty = not rempty
         l_top = 0
         lempty = True
         for sup, factors, k in lterms:
@@ -593,13 +584,9 @@ class _Search:
                 continue
             if not sup & undecided:
                 lempty = False
-                nonempty = True
             for g in factors:
                 k *= hi[g]
             l_top += k
-            # the L sum only grows and a non-empty side stays non-empty
-            if nonempty and l_top > r_bot:
-                return (True, True, False, def_active, False)
         return (l_top >= r_bot, l_top > r_bot, lempty and rempty, def_active, False)
 
     def _eval_tropical(self, cid):
@@ -683,12 +670,12 @@ class _Search:
         ri = self.cons[cid][0]
         if old is not None:
             if old[3] and not old[0]:
-                self.weak_blocked[ri] -= 1
+                self.weak_blocked -= 1
             if old[3] and not (old[1] or old[2]):
                 self.uniform_blocked[ri] -= 1
         self.cstate[cid] = state
         if state[3] and not state[0]:
-            self.weak_blocked[ri] += 1
+            self.weak_blocked += 1
         if state[3] and not (state[1] or state[2]):
             self.uniform_blocked[ri] += 1
 
@@ -698,13 +685,14 @@ class _Search:
         """(class, closure candidate) that can still remove rule ri, or
         None: the first live candidate strict at its closure t_K,
         uniform when no constraint blocks that, else closureDecreasing
-        over a strictly monotonic semiring when weak decrease holds."""
+        over a strictly monotonic semiring. _prune and _leaf reject
+        first any assignment that some rule does not weakly decrease."""
         p = self.p
         if p.unremovable[ri]:
             return None
         if self.uniform_blocked[ri] == 0:
             cls = "uniform"
-        elif self.weak_blocked[ri] == 0 and p.kind.strictly_monotonic:
+        elif p.kind.strictly_monotonic:
             cls = "closureDecreasing"
         else:
             return None
@@ -715,9 +703,8 @@ class _Search:
         return None
 
     def _prune(self, target: int) -> bool:
-        # a weak-blocked rule is also uniform-blocked and not
-        # closureDecreasing, so it is never removable
-        if any(self.weak_blocked):
+        # a weak-blocked rule is neither removable nor weak
+        if self.weak_blocked:
             return True
         removable = 0
         for ri in range(len(self.p.rules)):
@@ -736,18 +723,17 @@ class _Search:
     # --- leaf extraction ------------------------------------------------
 
     def _leaf(self, target: int):
-        p = self.p
+        if self.weak_blocked:
+            return None
         entries = []
         removed = 0
-        for ri, rule in enumerate(p.rules):
+        for ri, rule in enumerate(self.p.rules):
             chosen = self._removal(ri)
             if chosen is not None:
                 removed += 1
                 entries.append((rule.name, *chosen))
-            elif self.weak_blocked[ri] == 0:
-                entries.append((rule.name, "weak", None))
             else:
-                return None
+                entries.append((rule.name, "weak", None))
         return entries if removed >= max(1, target) else None
 
     # --- DFS -------------------------------------------------------------
@@ -811,7 +797,7 @@ class _Search:
         if self.node_stop is not None and self.nodes > self.node_stop:
             raise _Budget
         # nodes can be few and expensive, so the clock is read at each one
-        if self.deadline is not None and time.monotonic() > self.deadline:
+        if time.monotonic() > self.deadline:
             raise _Timeout
         p = self.p
         if depth == len(p.var_order):
@@ -837,7 +823,6 @@ class _Search:
         # over a semiring that is not strictly monotonic only a uniformly
         # decreasing rule is removed (see _removal)
         uniform_only = not p.kind.strictly_monotonic
-        weak0 = self.weak_blocked[:]
         uniform0 = self.uniform_blocked[:]
         for value in values:
             extra = 0 if value == ABSENT else value - neutral
@@ -856,11 +841,13 @@ class _Search:
                 # decreasing decides the prune on its own: it is also
                 # uniform-blocked (two empty sides always compare
                 # weakly), so its rule is neither removable nor weak and
-                # _prune would reject the value. Over a semiring that is
-                # not strictly monotonic so does a uniform blocker that
-                # leaves fewer than target rules uniformly decreasing:
-                # states only tighten, so no rule it counts as blocked
-                # is unblocked by the constraints still to evaluate.
+                # _prune would reject the value. It is never applied, so
+                # weak_blocked keeps the count __init__ gave it. Over a
+                # semiring that is not strictly monotonic so does a
+                # uniform blocker that leaves fewer than target rules
+                # uniformly decreasing: states only tighten, so no rule
+                # it counts as blocked is unblocked by the constraints
+                # still to evaluate.
                 saved = []
                 blocker = None
                 for i, cid in enumerate(cids):
@@ -883,7 +870,6 @@ class _Search:
                 if saved:
                     for cid, old in saved:
                         cstate[cid] = old
-                    self.weak_blocked[:] = weak0
                     self.uniform_blocked[:] = uniform0
             self.val[v] = None
             lo[v] = neutral
@@ -918,7 +904,7 @@ def _masked_step(problem: _Problem, entries, val) -> CertStep:
     for s in range(len(sig.objects)):
         for i in range(T.n(s)):
             v = val[p.offset[s] + i]
-            if v in (ABSENT, None, p.neutral):
+            if v in (ABSENT, p.neutral):
                 continue
             elements.append(
                 (sig.objects[s].name, masked.name_of(s, new_id[s][i]), v)
@@ -955,6 +941,7 @@ def search_wtg(
     the step: it lists every rule its weights remove."""
     if not rules:
         return SearchOutcome("exhausted")
+    deadline = time.monotonic() + budget.timeout_seconds
     epi = [detect_collapse_epi(r) for r in rules]
     warnings = []
     for r, collapses in zip(rules, epi):
@@ -964,7 +951,6 @@ def search_wtg(
                 f"(e∘r = l for an epimorphism e); it cannot decrease strictly "
                 f"over the arithmetic or arctic semiring"
             )
-    deadline = time.monotonic() + budget.timeout_seconds
     nodes = 0
     for n in range(1, budget.size + 1):
         problem = _Problem(rules, fw, kind, budget.bits, n, epi=epi)

@@ -28,9 +28,10 @@ def random_instance(sig: IndexSignature, rng: random.Random, max_base=4, max_ele
     args = [[] for _ in sig.objects]
     labels = [[] for _ in sig.objects]
     for s in sig.base_sorts:
+        names = sig.objects[s].labels
         for _ in range(rng.randint(1, max_base)):
             args[s].append(())
-            labels[s].append(None)
+            labels[s].append(rng.choice(names) if names else None)
     for s in sig.topo_order:
         if sig.is_base(s):
             continue

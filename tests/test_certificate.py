@@ -401,9 +401,7 @@ def test_element_at_is_the_unique_constrained_embedding():
     for path in sorted(SYSTEMS.glob("*.gts")):
         sig = load(path.stem).sig
         for n in (1, 2, 3):
-            graphs.append(
-                complete_type_graph(sig, {sig.objects[s].name: n for s in sig.base_sorts})
-            )
+            graphs.append(complete_type_graph(sig, n))
     embedded = 0
     for T in graphs:
         for s, decl in enumerate(T.sig.objects):

@@ -10,8 +10,10 @@ import pytest
 from dpoterm.certificate import certificate_to_json, write_certificate
 from dpoterm.cli import _parser, main
 from dpoterm.sysfile import parse_system_file
+from test_prover import LABELLED_BASE
 
 SYSTEMS = Path(__file__).resolve().parent.parent / "systems"
+PINNED = Path(__file__).resolve().parent / "certificates"
 PINNED_STEPS = Path(__file__).resolve().parent / "steps_depth4.txt"
 
 
@@ -22,6 +24,35 @@ def test_prove_check_roundtrip(tmp_path, capsys):
     assert "verdict terminating" in out
     assert main(["check", str(SYSTEMS / "loop_unfolding.gts"), str(cert)]) == 0
     assert "accept" in capsys.readouterr().out
+
+
+def test_prove_to_stdout_writes_only_the_certificate(tmp_path, capsys):
+    # the verdict line goes to stderr, so `prove ... > c.cert` checks
+    system = str(SYSTEMS / "limitations.gts")
+    assert main(["prove", system]) == 0
+    out, err = capsys.readouterr()
+    assert out == (PINNED / "limitations.cert").read_text()
+    assert "verdict relatively-terminating remaining=[tau]\n" in err
+    cert = tmp_path / "c.cert"
+    cert.write_text(out)
+    assert main(["check", system, str(cert)]) == 0
+
+
+def test_a_labelled_base_sort_proves_and_checks(tmp_path, capsys):
+    # size counts base elements per label: at size 1 the type graph has
+    # one C element labelled r and one labelled g
+    system = tmp_path / "labelled.gts"
+    system.write_text(LABELLED_BASE)
+    assert main(["prove", str(system)]) == 0
+    out, err = capsys.readouterr()
+    assert "verdict terminating" in err and "Traceback" not in err
+    assert "    C C0 [r]\n    C C1 [g]\n" in out
+    cert = tmp_path / "c.cert"
+    cert.write_text(out)
+    assert main(["check", str(system), str(cert)]) == 0
+    # verified mode samples hosts with labelled base elements
+    assert main(["prove", str(system), "--verified", "--out", str(tmp_path / "v.cert")]) == 0
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_check_rejects_tampered(tmp_path, capsys):

@@ -150,26 +150,26 @@ def test_isomorphic_tells_apart_what_refinement_cannot():
 
 
 def test_complete_graph_flower():
-    t = complete_type_graph(GRAPH_SIG, {"V": 1})
+    t = complete_type_graph(GRAPH_SIG, 1)
     assert t.counts == (1, 1)
     assert t.args[1][0] == (0, 0)
 
 
 def test_complete_graph_two_nodes():
-    t = complete_type_graph(GRAPH_SIG, {"V": 2})
+    t = complete_type_graph(GRAPH_SIG, 2)
     assert t.counts == (2, 4)
 
 
 def test_complete_graph_labelled():
     sig = parse_signature("V edge[a,b](V,V)")
-    t = complete_type_graph(sig, {"V": 2})
+    t = complete_type_graph(sig, 2)
     assert t.counts == (2, 8)
 
 
 def test_complete_graph_count_formula():
     sig = parse_signature("V edge[a,b](V,V) plus(V,V,V)! flag[x,y,z](V)")
     for n in (1, 2, 3):
-        t = complete_type_graph(sig, {"V": n})
+        t = complete_type_graph(sig, n)
         # closed form: labels x tuples per non-base sort
         assert t.counts == (n, 2 * n * n, n**3, 3 * n)
 

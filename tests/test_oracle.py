@@ -187,7 +187,7 @@ def oracle_has_proof(system, kind, size: int, bits: int, limit: int) -> Optional
     one = kind.one
     weights = list(range(one, one + 2**bits))
     for n in range(1, size + 1):
-        T = complete_type_graph(sig, {sig.objects[s].name: n for s in sig.base_sorts})
+        T = complete_type_graph(sig, n)
         domains = {}
         space = 1
         for s in range(len(sig.objects)):

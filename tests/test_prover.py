@@ -2,14 +2,16 @@ from __future__ import annotations
 
 import gc
 import itertools
+import math
 import random
+import time
 from pathlib import Path
 
 import pytest
 
 from dpoterm.certificate import certificate_to_json, write_certificate
 from dpoterm.checker import Certificate, check_certificate
-from dpoterm.morphism import enumerate_homs, extensions_by_restriction
+from dpoterm.morphism import enumerate_homs, extensions_by_restriction, image_elements
 from dpoterm.prover import (
     ABSENT,
     Basic,
@@ -23,18 +25,27 @@ from dpoterm.prover import (
     _Problem,
     _Search,
     _tiers,
+    complete_type_graph,
     parse_strategy,
     run_strategy,
     search_wtg,
 )
 from dpoterm.semiring import NEG_INF, POS_INF, SEMIRINGS
 from dpoterm.sysfile import parse_system_file, system_hash
+from dpoterm.wtg import detect_collapse_epi, flower_bases, flower_morphism, saturation_closure
 
 SYSTEMS = Path(__file__).resolve().parent.parent / "systems"
 
 
 def load(name):
     return parse_system_file((SYSTEMS / f"{name}.gts").read_text())
+
+
+def _problem(system, kind, bits, n):
+    """The search problem of system's rules at base size n, with the
+    collapse test that search_wtg makes."""
+    epi = [detect_collapse_epi(r) for r in system.rules]
+    return _Problem(system.rules, system.framework, kind, bits, n, epi=epi)
 
 
 def test_parse_basic_strategy():
@@ -230,8 +241,8 @@ def test_published_loop_unfolding_assignment_removes_unfold():
     # the published assignment (both loops weight 2, everything present)
     # is a leaf that removes unfold
     system = load("loop_unfolding")
-    problem = _Problem(system.rules, system.framework, SEMIRINGS["arithmetic"], 2, 2)
-    search = _Search(problem, None)
+    problem = _problem(system, SEMIRINGS["arithmetic"], 2, 2)
+    search = _Search(problem, math.inf)
     T = problem.T
     loop_gids = [
         problem.offset[1] + i for i in range(T.n(1)) if T.args[1][i][0] == T.args[1][i][1]
@@ -413,7 +424,7 @@ def test_cost_tiers_end_at_the_maximum_cost():
     assert [_tiers(m)[-1] for m in range(31)] == list(range(31))
     system = parse_system_file(SEVEN_LOOPS)
     for name, kind in SEMIRINGS.items():
-        problem = _Problem(system.rules, system.framework, kind, 1, 1)
+        problem = _problem(system, kind, 1, 1)
         assert problem.max_cost == 7
         out = search_wtg(system.rules, system.framework, kind, SearchBudget(1, 1, 3600))
         assert (out.status, out.step.removed, out.nodes) == ("found", ("r0",), 147), name
@@ -452,6 +463,72 @@ end
 framework unrestricted
 """
 
+# a base sort with labels: trading an edge for a [g]-labelled element
+LABELLED_BASE = """\
+signature
+  V
+  C[r,g]
+  E(V, V)
+end
+
+graph L
+  V x
+  V y
+  E e (x, y)
+end
+
+graph K
+  V x
+  V y
+end
+
+graph R
+  V x
+  V y
+  C c [g]
+end
+
+rule trade
+  L = L
+  K = K
+  R = R
+  l = { x -> x, y -> y }
+  r = { x -> x, y -> y }
+end
+
+framework monic
+"""
+
+
+def test_the_saturated_graph_realizes_every_flower_and_closure():
+    """The search builds its closure candidates without a test for a
+    missing flower morphism or saturation closure: the saturated graph
+    realizes every argument tuple, so for every flower base fb each
+    flower morphism of a left side exists, and so does the saturation
+    closure of every c: L -> T with fb. A labelled base sort holds n
+    elements per label, and the symmetry swaps only those of one label."""
+    systems = [load(path.stem) for path in sorted(SYSTEMS.glob("*.gts"))]
+    systems.append(parse_system_file(LABELLED_BASE))
+    closures = 0
+    for system, n in itertools.product(systems, (1, 2)):
+        T = complete_type_graph(system.sig, n)
+        fbases = list(flower_bases(T))
+        for rule in system.rules:
+            for fb in fbases:
+                assert flower_morphism(rule.left, T, fb) is not None
+                for c in enumerate_homs(rule.left, T):
+                    start = image_elements(c) | {(s, i) for (s, _), i in fb.items()}
+                    assert saturation_closure(T, start) is not None
+                    closures += 1
+    assert closures > 0
+    labelled = parse_system_file(LABELLED_BASE)
+    problem = _problem(labelled, SEMIRINGS["tropical"], 1, 2)
+    assert problem.T.labels[1] == ("r", "g", "r", "g")
+    # V0 <-> V1 with the edges on them, then r0 <-> r1 and g0 <-> g1
+    assert [[g for g, h in enumerate(perm) if g != h] for perm in problem.sym_perms] == [
+        [0, 1, 6, 7, 8, 9], [2, 4], [3, 5]
+    ]
+
 
 def test_node_counts_pin_the_search_tree_where_terms_merge():
     # simple_fold at size 2 and string3 hold duplicate terms; the old
@@ -484,7 +561,7 @@ def test_node_counts_pin_the_search_tree_where_terms_merge():
         got = out.step.removed if out.step else ()
         assert (out.status, got, out.nodes) == (status, removed, new), (kind, size)
     for system, before, after in ((fold, 12, 10), (string3, 128, 112)):
-        problem = _Problem(system.rules, system.framework, SEMIRINGS["arithmetic"], 1, 2)
+        problem = _problem(system, SEMIRINGS["arithmetic"], 1, 2)
         assert sum(len(c[2]) + len(c[3]) for c in problem.constraints) == after
         assert sum(t[2] for c in problem.constraints for t in c[2] + c[3]) == before
 
@@ -498,7 +575,7 @@ def test_every_interface_assignment_into_the_saturated_graph_extends_along_l():
     for path in sorted(SYSTEMS.glob("*.gts")):
         system = load(path.stem)
         for n in (1, 2, 3):
-            problem = _Problem(system.rules, system.framework, SEMIRINGS["arithmetic"], 1, n)
+            problem = _problem(system, SEMIRINGS["arithmetic"], 1, n)
             T = problem.T
             for ri, rule in enumerate(system.rules):
                 t_ks = {t_k.maps for t_k in enumerate_homs(rule.interface, T)}
@@ -535,10 +612,24 @@ def test_timeout_is_honoured_when_nodes_are_few():
     assert any("size 1" in w and "0 s timeout" in w for w in out.warnings)
 
 
+def test_a_timeout_covers_the_collapse_test(monkeypatch):
+    system = load("simple_fold")
+
+    def slow(rule):
+        time.sleep(1.1)
+        return detect_collapse_epi(rule)
+
+    monkeypatch.setattr("dpoterm.prover.detect_collapse_epi", slow)
+    out = search_wtg(
+        system.rules, system.framework, SEMIRINGS["tropical"], SearchBudget(1, 1, 1)
+    )
+    assert out.status == "timeout"
+
+
 def _search_state(search):
     return (
         list(search.cstate),
-        list(search.weak_blocked),
+        search.weak_blocked,
         list(search.uniform_blocked),
         list(search.val),
         search.absent_mask,
@@ -550,8 +641,8 @@ def _search_state(search):
 
 def test_dfs_restores_search_state():
     tree = load("tree_counter")
-    problem = _Problem(tree.rules, tree.framework, SEMIRINGS["arithmetic"], 4, 2)
-    search = _Search(problem, None)
+    problem = _problem(tree, SEMIRINGS["arithmetic"], 4, 2)
+    search = _Search(problem, math.inf)
     start = _search_state(search)
     tier = 0
     while search.run(tier, target=1) is None:
@@ -563,16 +654,16 @@ def test_dfs_restores_search_state():
     assert _search_state(search) == start
 
     tau = load("limitations_tau")
-    problem = _Problem(tau.rules, tau.framework, SEMIRINGS["tropical"], 3, 2)
-    search = _Search(problem, None)
+    problem = _problem(tau, SEMIRINGS["tropical"], 3, 2)
+    search = _Search(problem, math.inf)
     start = _search_state(search)
     assert search.run(problem.max_cost, target=1) is None
     assert _search_state(search) == start
 
     # a forced a-loop that weighs one is decided only at its depth
     loops = parse_system_file(TWO_KEPT_LOOPS)
-    problem = _Problem(loops.rules, loops.framework, SEMIRINGS["arithmetic"], 2, 1)
-    search = _Search(problem, None)
+    problem = _problem(loops, SEMIRINGS["arithmetic"], 2, 1)
+    search = _Search(problem, math.inf)
     start = _search_state(search)
     assert search.run(problem.max_cost, target=1) is not None
     assert _search_state(search) == start
@@ -628,8 +719,8 @@ def test_leaves_pass_the_checker_and_bounds_bracket_full_assignments():
     for system, kind, size, bits in itertools.product(
         systems, ("arithmetic", "tropical", "arctic"), (1, 2), (1, 2)
     ):
-        problem = _Problem(system.rules, system.framework, SEMIRINGS[kind], bits, size)
-        search = _Search(problem, None)
+        problem = _problem(system, SEMIRINGS[kind], bits, size)
+        search = _Search(problem, math.inf)
         for _ in range(100):
             full = {v: rng.choice(problem.domain[v]) for v in problem.var_order}
             complete = _assign(search, full)
@@ -818,12 +909,12 @@ def test_evaluators_equal_the_generic_reference_on_one_term_per_hom(monkeypatch)
     for system, kind, size, bits in itertools.product(
         systems, ("arithmetic", "tropical", "arctic"), (1, 2), (1, 2)
     ):
-        problem = _Problem(system.rules, system.framework, SEMIRINGS[kind], bits, size)
+        problem = _problem(system, SEMIRINGS[kind], bits, size)
         with monkeypatch.context() as m:
             m.setattr(_Problem, "_tighten", lambda self: None)
-            plain = _Problem(system.rules, system.framework, SEMIRINGS[kind], bits, size)
+            plain = _problem(system, SEMIRINGS[kind], bits, size)
         assert plain.var_order == problem.var_order
-        search, reference = _Search(problem, None), _Search(plain, None)
+        search, reference = _Search(problem, math.inf), _Search(plain, math.inf)
         expanded = [
             (ri, tk_sup, _one_term_per_hom(lterms), _one_term_per_hom(rterms))
             for ri, tk_sup, lterms, rterms in plain.constraints
@@ -877,7 +968,7 @@ def test_tightening_keeps_every_found_step(monkeypatch):
             plain = search_wtg(*args)
         assert (out.status, out.step) == (plain.status, plain.step), (name, kind, size)
         assert out.nodes <= plain.nodes, (name, kind, size)
-        problem = _Problem(system.rules, system.framework, SEMIRINGS[kind], 2, size)
+        problem = _problem(system, SEMIRINGS[kind], 2, size)
         one_valued += sum(len(problem.domain[v]) == 1 for v in problem.var_order)
     assert one_valued == 3
 
@@ -906,11 +997,11 @@ def test_trimmed_constraint_lists_keep_every_search(monkeypatch):
             continue  # 984,667 and 392,811 nodes, searched twice
         args = (system.rules, system.framework, SEMIRINGS[kind], SearchBudget(size, 2, 3600))
         out = search_wtg(*args)
-        problem = _Problem(system.rules, system.framework, SEMIRINGS[kind], 2, size)
+        problem = _problem(system, SEMIRINGS[kind], 2, size)
         with monkeypatch.context() as m:
             neither(m)
             full = search_wtg(*args)
-            untrimmed = _Problem(system.rules, system.framework, SEMIRINGS[kind], 2, size)
+            untrimmed = _problem(system, SEMIRINGS[kind], 2, size)
         got, want = (out.status, out.step, out.nodes), (full.status, full.step, full.nodes)
         assert got == want, (name, kind, size)
         depth = {v: d for d, v in enumerate(problem.var_order)}
@@ -947,8 +1038,8 @@ def test_trimmed_constraint_lists_keep_every_search(monkeypatch):
         for patch in (counted, neither):
             with monkeypatch.context() as m:
                 patch(m)
-                problem = _Problem(system.rules, system.framework, SEMIRINGS[kind], bits, size)
-                search = _Search(problem, None)
+                problem = _problem(system, SEMIRINGS[kind], bits, size)
+                search = _Search(problem, math.inf)
                 walk = []
                 for tier in _tiers(problem.max_cost):
                     walk.append((search.run(tier, target), search.nodes))

@@ -245,7 +245,7 @@ def test_collapse_epi_detection():
 
 def test_closure_flower_unrestricted():
     ru, fw, wtg, closure = ex.morphism_counting()
-    T = complete_type_graph(GRAPH_SIG, {"V": 2})
+    T = complete_type_graph(GRAPH_SIG, 2)
     fl = named_map(ru.left, T, {"x": T.name_of(0, 0), "y": T.name_of(0, 0)})
     assert verify_context_closure(fl, ru, UNRESTRICTED)
     # a non-flower map is rejected under unrestricted matching
@@ -278,7 +278,7 @@ def test_closure_rejects_unsaturated_collapse():
 def test_saturation_closure_is_closed(rng):
     # the sorts are declared after the sorts that use them
     sig = parse_signature("g[a,b](f) f(e, V) e(V, V) V")
-    T = complete_type_graph(sig, {"V": 2})
+    T = complete_type_graph(sig, 2)
     elements = [(s, i) for s in range(len(sig.objects)) for i in range(T.n(s))]
     for _ in range(40):
         start = set(rng.sample(elements, rng.randint(0, 4)))
