@@ -20,17 +20,18 @@ from .checker import (  # check_certificate is re-exported
     check_certificate,
 )
 from .graph import CGraph
-from .sysfile import NAME, NAME_SET, _parse_map, block_lines, element_row, print_graph_block, read_lines
+from .sysfile import NAME, NAME_SET, _parse_map, block_lines, element_row, read_lines
+from .sysfile import print_graph_block, print_map
 
 VERSION = 2
 
 
 def _element_label(T: CGraph, sort: str, name: str) -> Optional[str]:
-    T.sig.sort(sort)  # an unknown sort is a SignatureError
-    if (sort, name) not in T.element_ids:
+    s = T.sig.sort(sort)  # an unknown sort is a SignatureError
+    found = T.element_ids.get(name)
+    if found is None or found[0] != s:
         raise CertificateError(f"unknown element {sort} {name}")
-    s, i = T.element_ids[sort, name]
-    return T.labels[s][i]
+    return T.labels[s][found[1]]
 
 
 def _element_row(T: CGraph, sort: str, name: str, label, weight: int, row):
@@ -55,7 +56,7 @@ def write_certificate(cert: Certificate) -> str:
         for e in step.entries:
             line = f"  rule {e.rule} class {e.classification}"
             if e.closure is not None:
-                line += " closure { " + ", ".join(f"{a} -> {b}" for a, b in e.closure) + " }"
+                line += " closure " + print_map(e.closure)
             out.append(line)
         out.append("  removed " + " ".join(step.removed))
         out.append("end")
@@ -67,30 +68,13 @@ def write_certificate(cert: Certificate) -> str:
 
 
 def certificate_to_json(cert: Certificate) -> str:
-    def graph_rows(g: CGraph):
-        rows = []
-        for s in range(len(g.sig.objects)):
-            for i in range(g.n(s)):
-                rows.append(
-                    [
-                        g.sig.objects[s].name,
-                        g.name_of(s, i),
-                        g.labels[s][i],
-                        [
-                            g.name_of(t, a)
-                            for t, a in zip(g.sig.arg_sorts(s), g.args[s][i])
-                        ],
-                    ]
-                )
-        return rows
-
     data = {
         "version": VERSION,
         "systemHash": cert.system_hash,
         "steps": [
             {
                 "semiring": st.semiring_kind,
-                "typeGraph": graph_rows(st.type_graph),
+                "typeGraph": st.type_graph.rows(),
                 "elements": [
                     [s, n, _element_label(st.type_graph, s, n), w]
                     for s, n, w in st.elements

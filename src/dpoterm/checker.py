@@ -79,9 +79,10 @@ def step_wtg(step: CertStep) -> WeightedTypeGraph:
         raise CertificateError("unknown semiring")
     T = step.type_graph
     ids = T.element_ids
-    if any((sort, name) not in ids for sort, name, _ in step.elements):
+    # the element of that name must have that sort; no sort has index -1
+    if any(ids.get(name, (-1,))[0] != T.sig.index.get(sort) for sort, name, _ in step.elements):
         raise CertificateError("weighted element names an unknown element")
-    elements = tuple(WeightedElement(*ids[sort, name], w) for sort, name, w in step.elements)
+    elements = tuple(WeightedElement(*ids[name], w) for _, name, w in step.elements)
     try:
         return WeightedTypeGraph(T, elements, SEMIRINGS[step.semiring_kind])
     except WtgError as e:

@@ -52,12 +52,19 @@ class CGraph:
         return {k: tuple(v) for k, v in idx.items()}
 
     @cached_property
-    def element_ids(self) -> dict[tuple[str, str], tuple[int, int]]:
-        """(sort name, element name) -> (sort, id)."""
-        out = {}
-        for s in range(len(self.sig.objects)):
-            for i in range(self.n(s)):
-                out[(self.sig.objects[s].name, self.name_of(s, i))] = (s, i)
+    def element_ids(self) -> dict[str, tuple[int, int]]:
+        """Element name -> (sort, id); names are unique across a graph."""
+        names = self.names or self._generated_names
+        return {name: (s, i) for s, row in enumerate(names) for i, name in enumerate(row)}
+
+    def rows(self) -> list[list]:
+        """The [sort, name, label, [arg names]] rows build reads, by sort and id."""
+        names = self.names or self._generated_names
+        out = []
+        for s, decl in enumerate(self.sig.objects):
+            targets = self.sig.arg_sorts(s)
+            for name, label, tup in zip(names[s], self.labels[s], self.args[s]):
+                out.append([decl.name, name, label, [names[t][a] for t, a in zip(targets, tup)]])
         return out
 
     def name_of(self, s: int, i: int) -> str:

@@ -31,6 +31,7 @@ from __future__ import annotations
 import itertools
 import re
 import time
+from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
@@ -38,10 +39,10 @@ from . import semiring as sr
 from .checker import Certificate, CertStep, RuleEntry
 from .dpo import kept_subgraph
 from .graph import CGraph
-from .morphism import compose, enumerate_homs, extensions_by_restriction, image_elements
+from .morphism import Morphism, compose, enumerate_homs, extensions_by_restriction, image_elements
 from .semiring import SEMIRINGS, SemiringDescriptor
 from .signature import IndexSignature
-from .sysfile import Framework, System, system_hash
+from .sysfile import Framework, Rule, System, name_pairs, system_hash
 from .wtg import (
     check_rule_admissibility,
     detect_collapse_epi,
@@ -489,8 +490,8 @@ class _Problem:
             )
 
 
-# constraint state tuple: (weak_p, strict_p, both_p, def_active, dead)
-_VACUOUS = (True, True, True, False, True)
+# constraint state tuple: (weak_p, strict_p, both_p, def_active)
+_VACUOUS = (True, True, True, False)
 
 
 class _Search:
@@ -538,13 +539,14 @@ class _Search:
         # its list, which changes the order of evaluation but no state it
         # leaves
         self.var_cids = problem.var_cids
-        self.cstate = [None] * len(self.cons)
+        self.cstate = [self._eval(self, cid) for cid in range(len(self.cons))]
         # definitely active constraints that are not weakly decreasing,
-        # over all rules; only this loop counts any (see _dfs)
-        self.weak_blocked = 0
+        # over all rules; only these states count any (see _dfs)
+        self.weak_blocked = sum(st[3] and not st[0] for st in self.cstate)
         self.uniform_blocked = [0] * len(problem.rules)
-        for cid in range(len(self.cons)):
-            self._set_state(cid, self._eval(self, cid))
+        for (ri, *_), st in zip(self.cons, self.cstate):
+            if st[3] and not (st[1] or st[2]):
+                self.uniform_blocked[ri] += 1
         self.nodes = 0
 
     # --- constraint evaluation ---------------------------------------
@@ -587,7 +589,7 @@ class _Search:
             for g in factors:
                 k *= hi[g]
             l_top += k
-        return (l_top >= r_bot, l_top > r_bot, lempty and rempty, def_active, False)
+        return (l_top >= r_bot, l_top > r_bot, lempty and rempty, def_active)
 
     def _eval_tropical(self, cid):
         """Minima of the factors' weight sums; min is idempotent, so k
@@ -623,9 +625,7 @@ class _Search:
                 bot += lo[g]
             if bot < r_bot:
                 r_bot = bot
-        return (
-            l_top >= r_bot, l_top > r_bot, lempty and rempty, not (tk_sup & undecided), False
-        )
+        return l_top >= r_bot, l_top > r_bot, lempty and rempty, not (tk_sup & undecided)
 
     def _eval_arctic(self, cid):
         """Maxima of the factors' weight sums; max is idempotent, so k
@@ -661,23 +661,7 @@ class _Search:
                 bot += lo[g]
             if bot > r_bot:
                 r_bot = bot
-        return (
-            l_top >= r_bot, l_top > r_bot, lempty and rempty, not (tk_sup & undecided), False
-        )
-
-    def _set_state(self, cid, state):
-        old = self.cstate[cid]
-        ri = self.cons[cid][0]
-        if old is not None:
-            if old[3] and not old[0]:
-                self.weak_blocked -= 1
-            if old[3] and not (old[1] or old[2]):
-                self.uniform_blocked[ri] -= 1
-        self.cstate[cid] = state
-        if state[3] and not state[0]:
-            self.weak_blocked += 1
-        if state[3] and not (state[1] or state[2]):
-            self.uniform_blocked[ri] += 1
+        return l_top >= r_bot, l_top > r_bot, lempty and rempty, not (tk_sup & undecided)
 
     # --- rule feasibility ---------------------------------------------
 
@@ -823,7 +807,8 @@ class _Search:
         # over a semiring that is not strictly monotonic only a uniformly
         # decreasing rule is removed (see _removal)
         uniform_only = not p.kind.strictly_monotonic
-        uniform0 = self.uniform_blocked[:]
+        uniform_blocked = self.uniform_blocked
+        uniform0 = uniform_blocked[:]
         for value in values:
             extra = 0 if value == ABSENT else value - neutral
             if cost + extra > tier:
@@ -847,7 +832,10 @@ class _Search:
                 # uniform blocker that leaves fewer than target rules
                 # uniformly decreasing: states only tighten, so no rule
                 # it counts as blocked is unblocked by the constraints
-                # still to evaluate.
+                # still to evaluate. For the same reason a uniform-blocked
+                # state changes only by ceasing to be weakly decreasing,
+                # which makes it a blocker: a changed state that is
+                # applied was not uniform-blocked, and counts only rise.
                 saved = []
                 blocker = None
                 for i, cid in enumerate(cids):
@@ -860,7 +848,9 @@ class _Search:
                     old = cstate[cid]
                     if st != old:
                         saved.append((cid, old))
-                        self._set_state(cid, st)
+                        cstate[cid] = st
+                        if st[3] and not (st[1] or st[2]):
+                            uniform_blocked[self.cons[cid][0]] += 1
                 if blocker is None:
                     if not self._prune(target):
                         self._dfs(depth + 1, cost + extra, tier, target)
@@ -870,7 +860,7 @@ class _Search:
                 if saved:
                     for cid, old in saved:
                         cstate[cid] = old
-                    self.uniform_blocked[:] = uniform0
+                    uniform_blocked[:] = uniform0
             self.val[v] = None
             lo[v] = neutral
             applied = self.cap
@@ -915,21 +905,23 @@ def _masked_step(problem: _Problem, entries, val) -> CertStep:
         closure = None
         if cand is not None:
             rule = next(r for r in p.rules if r.name == name)
-            pairs = []
-            for s in range(len(sig.objects)):
-                for i in range(rule.left.n(s)):
-                    pairs.append(
-                        (
-                            rule.left.name_of(s, i),
-                            masked.name_of(s, new_id[s][cand.maps[s][i]]),
-                        )
-                    )
-            closure = tuple(sorted(pairs))
+            maps = tuple(tuple(new_id[s][j] for j in row) for s, row in enumerate(cand.maps))
+            closure = tuple(sorted(name_pairs(Morphism(rule.left, masked, maps))))
             removed_names.append(name)
         rule_entries.append(RuleEntry(name, classification, closure))
     return CertStep(
         p.kind.kind, masked, tuple(elements), tuple(rule_entries), tuple(removed_names)
     )
+
+
+def _may_collapse(rule: Rule) -> bool:
+    """False when no epimorphism e: R -> L can exist, so that
+    detect_collapse_epi would find none: a surjective, label-preserving
+    e needs R to have, per (sort, label), at least as many elements as
+    L, and none that L lacks."""
+    lc, rc = (Counter((s, x) for s, row in enumerate(g.labels) for x in row)
+              for g in (rule.left, rule.right))
+    return lc <= rc and rc.keys() <= lc.keys()
 
 
 def search_wtg(
@@ -942,7 +934,7 @@ def search_wtg(
     if not rules:
         return SearchOutcome("exhausted")
     deadline = time.monotonic() + budget.timeout_seconds
-    epi = [detect_collapse_epi(r) for r in rules]
+    epi = [_may_collapse(r) and detect_collapse_epi(r) for r in rules]
     warnings = []
     for r, collapses in zip(rules, epi):
         if collapses:

@@ -171,26 +171,18 @@ def _parse_map(text: str, lineno: int) -> dict[str, str]:
 
 def _names_to_morphism(dom: CGraph, cod: CGraph, pairs: dict[str, str]) -> Morphism:
     """The map dom -> cod that pairs names; it is not validated."""
-    cod_ids: dict[str, tuple[int, int]] = {}
-    for s in range(len(cod.sig.objects)):
-        for i in range(cod.n(s)):
-            cod_ids[cod.name_of(s, i)] = (s, i)
-    maps = []
-    for s in range(len(dom.sig.objects)):
-        row = []
-        for i in range(dom.n(s)):
-            name = dom.name_of(s, i)
-            if name not in pairs:
-                raise MorphismError(f"map misses interface element {name!r}")
-            tgt = pairs[name]
-            if tgt not in cod_ids:
-                raise MorphismError(f"map target {tgt!r} does not exist")
-            ts, ti = cod_ids[tgt]
-            if ts != s:
-                raise MorphismError(f"{name!r} is mapped across sorts to {tgt!r}")
-            row.append(ti)
-        maps.append(tuple(row))
-    return Morphism(dom, cod, tuple(maps))
+    maps: list[list[int]] = [[] for _ in dom.counts]
+    for name, (s, _) in dom.element_ids.items():  # in sort and id order
+        if name not in pairs:
+            raise MorphismError(f"map misses interface element {name!r}")
+        tgt = pairs[name]
+        if tgt not in cod.element_ids:
+            raise MorphismError(f"map target {tgt!r} does not exist")
+        ts, ti = cod.element_ids[tgt]
+        if ts != s:
+            raise MorphismError(f"{name!r} is mapped across sorts to {tgt!r}")
+        maps[s].append(ti)
+    return Morphism(dom, cod, tuple(map(tuple, maps)))
 
 
 def parse_system_file(text: str) -> System:
@@ -323,28 +315,23 @@ def print_signature(sig: IndexSignature) -> str:
 
 
 def print_graph_block(g: CGraph) -> str:
-    sig = g.sig
     out = []
-    for s in range(len(sig.objects)):
-        for i in range(g.n(s)):
-            line = f"{sig.objects[s].name} {g.name_of(s, i)}"
-            if g.labels[s][i] is not None:
-                line += f" [{g.labels[s][i]}]"
-            if g.args[s][i]:
-                targets = sig.arg_sorts(s)
-                line += " (" + ", ".join(
-                    g.name_of(t, a) for t, a in zip(targets, g.args[s][i])
-                ) + ")"
-            out.append("    " + line)
+    for sort, name, label, arg_names in g.rows():
+        lab = f" [{label}]" if label is not None else ""
+        args = " (" + ", ".join(arg_names) + ")" if arg_names else ""
+        out.append(f"    {sort} {name}{lab}{args}")
     return "\n".join(out)
 
 
-def _print_map(dom: CGraph, cod: CGraph, mor: Morphism) -> str:
-    pairs = []
-    for s in range(len(dom.sig.objects)):
-        for i in range(dom.n(s)):
-            pairs.append(f"{dom.name_of(s, i)} -> {cod.name_of(s, mor.maps[s][i])}")
-    return "{ " + ", ".join(pairs) + " }"
+def name_pairs(mor: Morphism) -> list[tuple[str, str]]:
+    """The (dom name, cod name) pairs of mor, in sort and id order."""
+    return [(mor.dom.name_of(s, i), mor.cod.name_of(s, j))
+            for s, row in enumerate(mor.maps) for i, j in enumerate(row)]
+
+
+def print_map(pairs) -> str:
+    """pairs spelled as { a -> b, ... }, as _parse_map reads them."""
+    return "{ " + ", ".join(map(" -> ".join, pairs)) + " }"
 
 
 def system_hash(system: System) -> str:
@@ -360,6 +347,6 @@ def system_hash(system: System) -> str:
         out.append(f"rule {r.name}")
         for tag, g in (("L", r.left), ("K", r.interface), ("R", r.right)):
             out += [f"  {tag} =", print_graph_block(g), "  end"]
-        out.append(f"  l = {_print_map(r.interface, r.left, r.l)}")
-        out.append(f"  r = {_print_map(r.interface, r.right, r.r)}")
+        out.append(f"  l = {print_map(name_pairs(r.l))}")
+        out.append(f"  r = {print_map(name_pairs(r.r))}")
     return hashlib.sha256("\n".join(out).encode()).hexdigest()

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -15,17 +16,58 @@ from dpoterm.graph import (
 from dpoterm.morphism import enumerate_homs
 from dpoterm.prover import complete_type_graph
 from dpoterm.signature import parse_signature
+from dpoterm.sysfile import parse_system_file
 from dpoterm.verify import random_instance
 
 from conftest import GRAPH_SIG, LABELLED_SIG, SIMPLE_SIG, graph
 
 
-def test_generated_names_are_unique_and_change_only_on_a_clash():
+SYSTEMS = Path(__file__).resolve().parent.parent / "systems"
+
+
+def _clashing_names() -> CGraph:
     # e element 10 and e1 element 0 are both e10 by sort name plus id
     sig = parse_signature("V e(V,V) e1(V,V)")
-    g = CGraph(sig, (((),), ((0, 0),) * 11, ((0, 0),) * 2), ((None,), (None,) * 11, (None,) * 2))
+    return CGraph(
+        sig, (((),), ((0, 0),) * 11, ((0, 0),) * 2), ((None,), (None,) * 11, (None,) * 2)
+    )
+
+
+def test_generated_names_are_unique_and_change_only_on_a_clash():
+    g = _clashing_names()
     names = [g.name_of(s, i) for s in range(3) for i in range(g.n(s))]
     assert names == ["V0"] + [f"e{i}" for i in range(11)] + ["e10'", "e11"]
+
+
+def _named_and_generated_graphs() -> list[CGraph]:
+    """Every graph of the shipped systems, the saturated graphs of their
+    signatures at one and two base elements, and random instances."""
+    rng = random.Random(28)
+    graphs = [_clashing_names()]
+    for path in sorted(SYSTEMS.glob("*.gts")):
+        system = parse_system_file(path.read_text())
+        graphs += system.graphs.values()
+        graphs += [complete_type_graph(system.sig, n) for n in (1, 2)]
+        graphs += [random_instance(system.sig, rng) for _ in range(10)]
+    return graphs
+
+
+def test_build_reads_back_the_rows_of_every_graph():
+    for g in _named_and_generated_graphs():
+        h = CGraph.build(g.sig, g.rows())
+        assert h == g
+        assert h.rows() == g.rows()
+        assert [h.name_of(s, i) for s, i in h.element_ids.values()] == list(g.element_ids)
+
+
+def test_element_ids_hold_one_entry_per_element():
+    graphs = _named_and_generated_graphs()
+    for g in graphs:
+        ids = g.element_ids
+        assert len(ids) == g.size
+        assert sorted(ids.values()) == [(s, i) for s, n in enumerate(g.counts) for i in range(n)]
+        assert all(g.name_of(s, i) == name for name, (s, i) in ids.items())
+    assert graphs[0].element_ids["e10'"] == (2, 0)
 
 
 def test_validate_ok():

@@ -22,6 +22,7 @@ from dpoterm.prover import (
     Seq,
     StrategyError,
     _masked_step,
+    _may_collapse,
     _Problem,
     _Search,
     _tiers,
@@ -252,7 +253,8 @@ def test_published_loop_unfolding_assignment_removes_unfold():
         search.val[v] = search.lo[v] = search.hi[v] = value
         search.undecided_mask &= ~problem.bit[v]
         for cid in search.var_cids[v]:
-            search._set_state(cid, search._eval(search, cid))
+            search.cstate[cid] = search._eval(search, cid)
+    _count_blockers(search)
     entries = search._leaf(target=1)
     assert entries is not None and [e[0] for e in entries] == ["unfold"]
 
@@ -274,6 +276,44 @@ def test_collapse_test_runs_once_per_rule(monkeypatch):
     )
     assert out.status == "exhausted"  # so sizes 1, 2 and 3 were all built
     assert len(calls) == len(system.rules)
+
+
+def _string_system(k):
+    """a^k b -> a^k c and c d^k -> d^k b on edge-labelled paths with
+    interface {first, last}, unrestricted matching."""
+    blocks = ["signature\n  V\n  edge[a,b,c,d](V,V)\nend"]
+    ends = f"{{ x0 -> x0, x{k + 1} -> x{k + 1} }}"
+    for rule, lhs, rhs in (("rho", "a" * k + "b", "a" * k + "c"),
+                           ("tau", "c" + "d" * k, "d" * k + "b")):
+        for side, word in (("L", lhs), ("R", rhs)):
+            lines = [f"graph {side}{rule}"] + [f"  V x{i}" for i in range(k + 2)]
+            lines += [f"  edge e{i} [{c}] (x{i}, x{i + 1})" for i, c in enumerate(word)]
+            blocks.append("\n".join(lines + ["end"]))
+        blocks.append(f"graph K{rule}\n  V x0\n  V x{k + 1}\nend")
+        blocks.append(f"rule {rule}\n  L = L{rule}\n  K = K{rule}\n  R = R{rule}\n"
+                      f"  l = {ends}\n  r = {ends}\nend")
+    return "\n".join(blocks + ["framework unrestricted", ""])
+
+
+def test_the_collapse_pre_check_refutes_only_rules_that_do_not_collapse():
+    systems = [load(path.stem) for path in sorted(SYSTEMS.glob("*.gts"))]
+    systems += [parse_system_file(_string_system(k)) for k in range(1, 6)]
+    refuted = collapsing = 0
+    for rule in (r for system in systems for r in system.rules):
+        collapses = detect_collapse_epi(rule)
+        assert _may_collapse(rule) or not collapses, rule.name
+        refuted += not _may_collapse(rule)
+        collapsing += collapses
+    assert (refuted, collapsing) == (20, 2)
+
+
+def test_a_refuted_collapse_test_is_never_run(monkeypatch):
+    def refuse(rule):
+        raise AssertionError(f"collapse test run on {rule.name}")
+
+    monkeypatch.setattr("dpoterm.prover.detect_collapse_epi", refuse)
+    result = run_strategy(parse_system_file(_string_system(6)), DEFAULT_STRATEGY)
+    assert result.certificate.verdict == "terminating"
 
 
 def test_search_node_counts_pin_the_search_tree():
@@ -669,11 +709,23 @@ def test_dfs_restores_search_state():
     assert _search_state(search) == start
 
 
+def _count_blockers(search):
+    """Count the blockers among search's constraint states afresh, as
+    _Search.__init__ does."""
+    search.weak_blocked = sum(st[3] and not st[0] for st in search.cstate)
+    search.uniform_blocked[:] = [0] * len(search.p.rules)
+    for (ri, *_), st in zip(search.cons, search.cstate):
+        if st[3] and not (st[1] or st[2]):
+            search.uniform_blocked[ri] += 1
+
+
 def _assign(search, values, cap=None):
     """Set every variable in values (None = undecided) with the bounds
     the evaluators read, and re-evaluate every constraint from scratch.
     An undecided weight is bounded above by its maximum, or by cap when
-    that is less: the heaviest weight a finite cost budget leaves it."""
+    that is less: the heaviest weight a finite cost budget leaves it.
+    Each state gets a fifth flag, whether the constraint is vacuous: its
+    t_K support holds an absent element, as _Search._relevant reads it."""
     p = search.p
     search.absent_mask = search.undecided_mask = 0
     for v, value in values.items():
@@ -687,7 +739,10 @@ def _assign(search, values, cap=None):
             search.undecided_mask |= p.bit[v]
         elif value == ABSENT:
             search.absent_mask |= p.bit[v]
-    return [search._eval(search, cid) for cid in range(len(search.cons))]
+    return [
+        (*search._eval(search, cid), bool(c[1] & search.absent_mask))
+        for cid, c in enumerate(search.cons)
+    ]
 
 
 def _one_step_certificate(system, step):
@@ -724,8 +779,8 @@ def test_leaves_pass_the_checker_and_bounds_bracket_full_assignments():
         for _ in range(100):
             full = {v: rng.choice(problem.domain[v]) for v in problem.var_order}
             complete = _assign(search, full)
-            for cid, st in enumerate(complete):
-                search._set_state(cid, st)
+            search.cstate[:] = [st[:4] for st in complete]
+            _count_blockers(search)
             entries = search._leaf(1)
             if entries is not None:
                 leaves += 1

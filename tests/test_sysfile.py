@@ -7,7 +7,15 @@ import pytest
 from dpoterm.certificate import check_certificate, read_certificate, write_certificate
 from dpoterm.morphism import Morphism
 from dpoterm.prover import DEFAULT_STRATEGY, run_strategy
-from dpoterm.sysfile import SystemParseError, parse_system_file, system_hash
+from dpoterm.sysfile import (
+    SystemParseError,
+    _names_to_morphism,
+    _parse_map,
+    name_pairs,
+    parse_system_file,
+    print_map,
+    system_hash,
+)
 
 SYSTEMS = Path(__file__).resolve().parent.parent / "systems"
 
@@ -368,3 +376,12 @@ def test_relative_is_a_set_in_braces(line):
     with pytest.raises(SystemParseError, match="relative must be written") as err:
         parse_system_file(MINIMAL + line + "\n")
     assert err.value.line == 22
+
+
+def test_name_pairs_give_back_every_shipped_rule_leg():
+    systems = [parse_system_file(p.read_text()) for p in sorted(SYSTEMS.glob("*.gts"))]
+    for leg in (m for system in systems for r in system.rules for m in (r.l, r.r)):
+        pairs = name_pairs(leg)
+        assert [a for a, _ in pairs] == list(leg.dom.element_ids)
+        assert _names_to_morphism(leg.dom, leg.cod, dict(pairs)) == leg
+        assert _parse_map(print_map(pairs), 1) == dict(pairs)
