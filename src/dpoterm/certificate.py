@@ -1,6 +1,7 @@
 """Proof certificates: the text and JSON writers and their reader.
 
 The reader decodes the text form into the fields the JSON form holds,
+typed by construction, checks the JSON form's fields for those types,
 and one builder makes the Certificate from either. It is outside the
 trusted base: `checker.check_certificate` re-checks every part of a
 Certificate it relies on, so a misread certificate is rejected or is
@@ -94,54 +95,100 @@ def certificate_to_json(cert: Certificate) -> str:
         "verdict": cert.verdict,
         "remaining": list(cert.remaining),
     }
-    return json.dumps(data, indent=2) + "\n"
+    return _json(data) + "\n"
 
 
-# what certificate_to_json writes: a type, [shape] for a list, a tuple
-# for a row with one shape per column, a dict for an object's fields
-_JSON_STEP = {
-    "semiring": str,
-    "typeGraph": [(str, str, str | None, [str])],
-    "elements": [(str, str, str | None, int)],
-    "rules": [{"rule": str, "class": str, "closure": dict | None}],
-    "removed": [str],
-}
-_JSON_SHAPE = {"systemHash": str, "steps": [_JSON_STEP], "verdict": str, "remaining": [str]}
+_quote = json.encoder.encode_basestring_ascii  # json.dumps of a str
 
 
-def _fits(value, shape) -> bool:
-    if isinstance(shape, dict):
-        return isinstance(value, dict) and all(_fits(value.get(k), s) for k, s in shape.items())
-    if isinstance(shape, (list, tuple)):
-        if not isinstance(value, list):
-            return False
-        columns = shape * len(value) if isinstance(shape, list) else shape
-        return len(columns) == len(value) and all(map(_fits, value, columns))
-    return isinstance(value, shape)
+def _json(value, indent: str = "\n") -> str:
+    """value spelled as json.dumps(value, indent=2) spells it. That call
+    runs the pure-Python encoder, whose closures leave reference cycles
+    behind on every call; spelling a scalar runs none of it."""
+    inner = indent + "  "
+    if isinstance(value, dict):
+        items, brackets = [f"{_quote(k)}: {_json(v, inner)}" for k, v in value.items()], "{}"
+    elif isinstance(value, list):
+        items, brackets = [_json(v, inner) for v in value], "[]"
+    else:
+        return _quote(value) if isinstance(value, str) else json.dumps(value)
+    if not items:
+        return brackets
+    return brackets[0] + inner + ("," + inner).join(items) + indent + brackets[1]
 
 
-def _certificate(sig, data) -> Certificate:
-    """The Certificate that data, decoded from either form into what
-    certificate_to_json writes, describes."""
+def _names(value) -> bool:
+    return isinstance(value, list) and all(isinstance(x, str) for x in value)
+
+
+def _row(value, *types) -> bool:
+    """Whether value is a list of one value of each of types."""
+    return (
+        isinstance(value, list) and len(value) == len(types) and all(map(isinstance, value, types))
+    )
+
+
+_LABEL = (str, type(None))
+
+
+def _json_shaped(data: dict) -> bool:
+    return (
+        isinstance(data.get("systemHash"), str)
+        and isinstance(data.get("verdict"), str)
+        and _names(data.get("remaining"))
+        and isinstance(steps := data.get("steps"), list)
+        and all(map(_json_step_shaped, steps))
+    )
+
+
+def _json_step_shaped(st) -> bool:
+    return (
+        isinstance(st, dict)
+        and isinstance(st.get("semiring"), str)
+        and isinstance(rows := st.get("typeGraph"), list)
+        and all(_row(r, str, str, _LABEL, list) and _names(r[3]) for r in rows)
+        and isinstance(elements := st.get("elements"), list)
+        and all(_row(e, str, str, _LABEL, int) for e in elements)
+        and isinstance(rules := st.get("rules"), list)
+        and all(
+            isinstance(e, dict)
+            and isinstance(e.get("rule"), str)
+            and isinstance(e.get("class"), str)
+            and ((c := e.get("closure")) is None or isinstance(c, dict) and _names([*c.values()]))
+            for e in rules
+        )
+        and _names(st.get("removed"))
+    )
+
+
+def _decode_json(text: str) -> dict:
+    """The JSON form decoded, once its fields are checked to be those
+    certificate_to_json writes, of their types: [sort, name, label, [arg
+    names]] type-graph rows, [sort, name, label, weight] element rows,
+    rule objects whose closure is null or maps names to names, and lists
+    of names. A weight passes as an int even when it is a bool, which the
+    checker rejects as illegal."""
+    data = json.loads(text)
     if not isinstance(data, dict) or data.get("version") != VERSION:
         raise CertificateError("unsupported certificate version")
-    if not _fits(data, _JSON_SHAPE):
+    if not _json_shaped(data):
         raise CertificateError("certificate does not have the expected fields")
+    return data
+
+
+def _certificate(sig, data: dict) -> Certificate:
+    """The Certificate that data, decoded from either form into the
+    fields certificate_to_json writes, of their types, describes."""
     steps = []
     for st in data["steps"]:
-        entries = []
-        for e in st["rules"]:
-            closure = e.get("closure")
-            if closure is not None:
-                if not _fits(list(closure.values()), [str]):
-                    raise CertificateError(f"closure of {e['rule']} maps to a non-name")
-                closure = tuple(sorted(closure.items()))
-            entries.append(RuleEntry(e["rule"], e["class"], closure))
+        entries = tuple(
+            RuleEntry(e["rule"], e["class"], c if c is None else tuple(sorted(c.items())))
+            for e in st["rules"]
+            for c in [e.get("closure")]
+        )
         tg = CGraph.build(sig, st["typeGraph"])
         elements = tuple(_element_row(tg, *e, e) for e in st["elements"])
-        steps.append(
-            CertStep(st["semiring"], tg, elements, tuple(entries), tuple(st["removed"]))
-        )
+        steps.append(CertStep(st["semiring"], tg, elements, entries, tuple(st["removed"])))
     return Certificate(
         data["systemHash"], tuple(steps), data["verdict"], tuple(data["remaining"])
     )
@@ -151,8 +198,8 @@ def read_certificate(sig, text: str) -> Certificate:
     """The certificate in text, in either form. Malformed input raises
     CertificateError and nothing else."""
     try:
-        is_json = text.lstrip().startswith("{")
-        return _certificate(sig, json.loads(text) if is_json else _decode_text(text))
+        decode = _decode_json if text.lstrip().startswith("{") else _decode_text
+        return _certificate(sig, decode(text))
     except CertificateError:
         raise
     # json, SystemParseError, SignatureError and GraphError are ValueErrors;
@@ -170,8 +217,10 @@ _ELEMENT_LINE = re.compile(
 
 
 def _decode_text(text: str) -> dict:
-    """The text form decoded into the fields certificate_to_json writes.
-    A line's directive is its whole first word."""
+    """The text form decoded into the fields certificate_to_json writes,
+    typed by construction: each is a regex group, a split word, an int()
+    weight or a _parse_map map, and a field the builder reads is never
+    missing. A line's directive is its whole first word."""
     lines = read_lines(text)
     head = lines[0][0].split() if lines else []
     if head[:1] != ["dpoterm-certificate"]:
@@ -181,7 +230,7 @@ def _decode_text(text: str) -> dict:
     words = lines[1][0].split() if len(lines) > 1 else []
     if words[:1] != ["system-hash"] or len(words) != 2:
         raise CertificateError("missing system-hash")
-    data = {"version": VERSION, "systemHash": words[1], "steps": [], "remaining": []}
+    data = {"systemHash": words[1], "steps": [], "remaining": []}
     i = 2
     while i < len(lines):
         body = lines[i][0]
@@ -211,6 +260,9 @@ def _decode_text(text: str) -> dict:
                     raise CertificateError(f"unexpected line in step: {body}")
             if i == len(lines):
                 raise CertificateError("unterminated step")
+            for key in ("semiring", "typeGraph"):
+                if key not in step:
+                    raise CertificateError(f"step has no {key.lower()} line")
             i += 1
             data["steps"].append(step)
         elif word == "verdict" and len(args) == 1:
@@ -219,4 +271,6 @@ def _decode_text(text: str) -> dict:
             data["remaining"] = m[1].split()
         else:
             raise CertificateError(f"unexpected line: {body}")
+    if "verdict" not in data:
+        raise CertificateError("missing verdict")
     return data

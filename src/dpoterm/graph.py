@@ -52,6 +52,24 @@ class CGraph:
         return {k: tuple(v) for k, v in idx.items()}
 
     @cached_property
+    def hom_plan(self) -> tuple[tuple[tuple, ...], tuple[int, ...], tuple[tuple[int, ...], ...]]:
+        """enumerate_homs' pin-free plan of homs from this graph: a slot
+        (sort, argument slots, label, None) per element, sorts in
+        topological order and ids ascending within a sort; each sort's
+        first slot; and ready[k + 1], the slots whose last argument is
+        slot k (ready[0] the base slots)."""
+        plan: list[tuple] = []
+        first = [0] * len(self.args)
+        for s in self.sig.topo_order:
+            first[s], targets = len(plan), self.sig.arg_sorts(s)
+            plan += [(s, tuple(first[t] + a for t, a in zip(targets, tup)), lab, None)
+                     for tup, lab in zip(self.args[s], self.labels[s])]
+        ready: list[list[int]] = [[] for _ in range(len(plan) + 1)]
+        for k, slot in enumerate(plan):
+            ready[max(slot[1], default=-1) + 1].append(k)
+        return tuple(plan), tuple(first), tuple(map(tuple, ready))
+
+    @cached_property
     def element_ids(self) -> dict[str, tuple[int, int]]:
         """Element name -> (sort, id); names are unique across a graph."""
         names = self.names or self._generated_names

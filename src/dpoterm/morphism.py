@@ -103,38 +103,24 @@ def enumerate_homs(
     constraint pins chosen elements: (sort, dom id) -> cod id.
     mono_only keeps only the per-sort injective ones.
 
-    The DFS places G's elements in topological sort order, each over its
-    candidates in H's id order. A non-base element is looked up as soon
-    as its last argument is placed, and the branch is dropped when the
-    element has no image there (or not its pinned one).
+    The DFS places G's elements in the order of G.hom_plan, planned once
+    per graph, each over its candidates in H's id order. A non-base
+    element is looked up as soon as its last argument is placed, and the
+    branch is dropped when it has no image there (or not its pinned one).
     """
     sig = G.sig
     if H.sig != sig:
         raise MorphismError("graphs share no signature")
-    if constraint:
+    plan, first, ready = G.hom_plan
+    if constraint:  # a pinned copy of the plan: slot first[s] + i maps to j
+        plan = list(plan)
         for (s, i), j in constraint.items():
             if not (0 <= i < G.n(s) and 0 <= j < H.n(s)):
                 raise MorphismError("constraint out of range")
             if G.labels[s][i] != H.labels[s][j]:
                 return []
-
-    # the slot plan: (sort, argument slots, label, pin) per element of
-    # G, sorts in topological order, ids ascending within a sort
-    plan: list[tuple[int, tuple[int, ...], Optional[str], Optional[int]]] = []
-    first = [0] * len(sig.objects)
-    for s in sig.topo_order:
-        first[s] = len(plan)
-        targets = sig.arg_sorts(s)
-        for i in range(G.n(s)):
-            pin = constraint.get((s, i)) if constraint else None
-            arg_slots = tuple(first[t] + a for t, a in zip(targets, G.args[s][i]))
-            plan.append((s, arg_slots, G.labels[s][i], pin))
+            plan[first[s] + i] = (*plan[first[s] + i][:3], j)
     n = len(plan)
-    # ready[k + 1] lists the slots whose last argument is slot k, so
-    # ready[0] the base slots; their candidates are fixed once k is placed
-    ready: list[list[int]] = [[] for _ in range(n + 1)]
-    for k, (_, arg_slots, _, _) in enumerate(plan):
-        ready[max(arg_slots, default=-1) + 1].append(k)
     img = [-1] * n
     cands: list[tuple[int, ...]] = [()] * n
     if not _fix_candidates(H, plan, img, cands, ready[0]):

@@ -124,12 +124,8 @@ NAME_SET = re.compile(rf"\s*\{{\s*((?:{NAME}(?:\s+{NAME})*)?)\s*\}}\s*")
 def read_lines(text: str) -> list[tuple[str, int]]:
     """(text, line number) of each line that is not blank once its '#'
     comment is cut, stripped."""
-    lines = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        body = raw.split("#", 1)[0].strip()
-        if body:
-            lines.append((body, lineno))
-    return lines
+    return [(body, lineno) for lineno, raw in enumerate(text.splitlines(), 1)
+            if (body := raw.partition("#")[0].strip())]
 
 
 def block_lines(lines, i: int) -> tuple[list[tuple[str, int]], int]:
@@ -149,8 +145,8 @@ def element_row(text: str, lineno: int) -> list:
     m = _ELEM.match(text)
     if not m:
         raise SystemParseError(f"bad element line {text!r}", lineno)
-    args = [a for a in re.split(r"[,\s]+", m.group("args") or "") if a]
-    return [m.group("sort"), m.group("name"), m.group("label"), args]
+    sort, name, label, args = m.groups()
+    return [sort, name, label, args.replace(",", " ").split() if args else []]
 
 
 def _parse_map(text: str, lineno: int) -> dict[str, str]:

@@ -17,6 +17,11 @@ The paper's weighted element is a morphism e: X -> T from a domain X.
 `element_hom` the unique e from its shape that sends the generator to
 an element of T, which the program records as that element alone.
 
+`JSON_SHAPE` and `fits` are the JSON reader's field check as an
+interpreter of a declared shape; `json_shaped` adds the check that every
+closure maps names to names, and is the reference for the reader's
+direct check.
+
 The rest are slower references for what the program computes faster:
 `brute_force_homs` for `enumerate_homs`, `brute_weight` (by definition,
 for any element morphisms) with `brute_weight_of_morphism` and
@@ -272,3 +277,36 @@ def pullback(f: Morphism, g: Morphism) -> tuple[CGraph, Morphism, Morphism]:
     p_b = Morphism(P, B, tuple(tuple(b for b, _ in pairs[s]) for s in range(ns)))
     p_c = Morphism(P, C, tuple(tuple(c for _, c in pairs[s]) for s in range(ns)))
     return P, p_b, p_c
+
+
+# what certificate_to_json writes: a type, [shape] for a list, a tuple
+# for a row with one shape per column, a dict for an object's fields
+JSON_STEP = {
+    "semiring": str,
+    "typeGraph": [(str, str, str | None, [str])],
+    "elements": [(str, str, str | None, int)],
+    "rules": [{"rule": str, "class": str, "closure": dict | None}],
+    "removed": [str],
+}
+JSON_SHAPE = {"systemHash": str, "steps": [JSON_STEP], "verdict": str, "remaining": [str]}
+
+
+def fits(value, shape) -> bool:
+    if isinstance(shape, dict):
+        return isinstance(value, dict) and all(fits(value.get(k), s) for k, s in shape.items())
+    if isinstance(shape, (list, tuple)):
+        if not isinstance(value, list):
+            return False
+        columns = shape * len(value) if isinstance(shape, list) else shape
+        return len(columns) == len(value) and all(map(fits, value, columns))
+    return isinstance(value, shape)
+
+
+def json_shaped(data) -> bool:
+    """Whether decoded JSON has the fields and types the reader accepts."""
+    return fits(data, JSON_SHAPE) and all(
+        fits(list(e["closure"].values()), [str])
+        for st in data["steps"]
+        for e in st["rules"]
+        if e.get("closure") is not None
+    )

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import json
 import os
 import subprocess
@@ -8,8 +9,17 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from dpoterm.certificate import certificate_to_json, read_certificate, write_certificate
+from dpoterm.certificate import (
+    _decode_json,
+    _decode_text,
+    _json,
+    _json_shaped,
+    certificate_to_json,
+    read_certificate,
+    write_certificate,
+)
 from dpoterm.checker import (
     Certificate,
     CertificateError,
@@ -36,8 +46,10 @@ from dpoterm.wtg import (
 import worked_examples as ex
 from conftest import GRAPH_SIG, graph
 from oracles import (
+    JSON_SHAPE,
     checked_weight_of_morphism,
     element_hom,
+    json_shaped,
     reference_side_comparisons,
     s_sum,
     side_homs,
@@ -223,12 +235,126 @@ def test_repeated_removal_rejected(proved):
 
 
 def test_both_forms_decode_alike():
-    # one builder makes the Certificate of either form
+    # one builder makes the Certificate of either form, from the same
+    # fields of the same types: the text decoder types them as it reads
+    pairs = 0
     for path in sorted(PINNED.glob("*.cert")):
         sig = load(path.stem).sig
-        cert = read_certificate(sig, path.read_text())
-        assert cert == read_certificate(sig, path.with_suffix(".json").read_text()), path.stem
-        assert write_certificate(cert) == path.read_text()
+        text, js = path.read_text(), path.with_suffix(".json").read_text()
+        cert = read_certificate(sig, text)
+        assert cert == read_certificate(sig, js), path.stem
+        assert {**_decode_text(text), "version": 2} == _decode_json(js), path.stem
+        assert write_certificate(cert) == text
+        assert certificate_to_json(cert) == js
+        pairs += 1
+    assert pairs * 2 == len(list(PINNED.iterdir())) == 16
+
+
+def _without_lines(text: str, start: str, stop: str) -> str:
+    """text without its first line that starts with start and the lines
+    after it up to the first that starts with stop, both included."""
+    lines = text.splitlines(keepends=True)
+    i = next(k for k, line in enumerate(lines) if line.startswith(start))
+    j = next(k for k in range(i, len(lines)) if lines[k].startswith(stop))
+    return "".join(lines[:i] + lines[j + 1:])
+
+
+@pytest.mark.parametrize(
+    "start, stop, reason",
+    [
+        ("  semiring", "  semiring", "step has no semiring line"),
+        ("  typegraph", "  end", "step has no typegraph line"),
+        ("verdict", "verdict", "missing verdict"),
+    ],
+    ids=["semiring", "typegraph", "verdict"],
+)
+def test_a_text_certificate_without_a_field_is_an_input_error(start, stop, reason):
+    system = load("limitations")
+    text = _without_lines((PINNED / "limitations.cert").read_text(), start, stop)
+    with pytest.raises(CertificateError, match=reason):
+        read_certificate(system.sig, text)
+
+
+def test_a_json_weight_of_true_is_an_int_and_rejected_by_the_checker():
+    # the field check keeps isinstance: a bool passes as an int, and the
+    # checker judges it, not the reader
+    system = load("limitations")
+    data = json.loads((PINNED / "limitations.json").read_text())
+    data["steps"][0]["elements"][0][3] = True
+    cert = read_certificate(system.sig, json.dumps(data))
+    assert check_certificate(system, cert) == CheckResult(
+        False, "step 1: illegal weight True for the arithmetic semiring"
+    )
+
+
+_GONE = object()  # a field left out of its object
+_ANY_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+_SCALARS = {
+    str: st.text(max_size=2),
+    int: st.integers(-1, 3) | st.booleans(),
+    type(None): st.none(),
+    dict: st.dictionaries(st.text(max_size=2), st.text(max_size=2) | _ANY_JSON, max_size=2),
+}
+
+
+def _now_and_then(good, other):
+    return st.integers(0, 39).flatmap(lambda i: other if i == 0 else good)
+
+
+def _near(shape):
+    """JSON values of an oracles.JSON_SHAPE shape, each part now and then
+    replaced by any JSON value or, in an object, left out."""
+    if isinstance(shape, dict):
+        fields = {k: _now_and_then(_near(s), st.just(_GONE)) for k, s in shape.items()}
+        good = st.fixed_dictionaries(fields).map(
+            lambda d: {k: v for k, v in d.items() if v is not _GONE}
+        )
+    elif isinstance(shape, list):
+        good = st.lists(_near(shape[0]), max_size=2)
+    elif isinstance(shape, tuple):
+        good = st.tuples(*map(_near, shape)).map(list)
+    else:
+        good = st.one_of([_SCALARS[t] for t in getattr(shape, "__args__", (shape,))])
+    return _now_and_then(good, _ANY_JSON)
+
+
+@given(_near(JSON_SHAPE).filter(lambda data: isinstance(data, dict)))
+@settings(derandomize=True, max_examples=250, deadline=None)
+def test_the_json_field_check_agrees_with_the_shape_interpreter(data):
+    assert _json_shaped(data) == json_shaped(data)
+
+
+def test_the_json_writer_leaves_no_garbage(searched):
+    cert = searched["tree_counter"][1]
+    gc.collect()
+    flags = gc.get_debug()
+    before = len(gc.garbage)
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        for _ in range(10):
+            certificate_to_json(cert)
+        gc.collect()
+        left = gc.garbage[before:]
+    finally:
+        gc.set_debug(flags)
+        del gc.garbage[before:]
+    assert left == []
+
+
+@given(
+    st.recursive(
+        st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+        lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+        max_leaves=12,
+    )
+)
+@settings(derandomize=True, max_examples=300, deadline=None)
+def test_the_json_writer_spells_values_as_json_dumps_does(value):
+    assert _json(value) == json.dumps(value, indent=2)
 
 
 def test_an_empty_closure_reads_and_is_judged_alike_in_both_forms():

@@ -5,11 +5,12 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dpoterm.graph import CGraph
 from dpoterm.morphism import MorphismError, classify_monicity, compose, enumerate_homs
 from dpoterm.signature import parse_signature
 from dpoterm.verify import random_instance
 
-from conftest import GRAPH_SIG, LABELLED_SIG, SIMPLE_SIG, graph, named_map
+from conftest import GRAPH_SIG, LABELLED_SIG, SIMPLE_SIG, graph, named_map, random_host_containing
 from oracles import (
     brute_force_homs,
     factor_through,
@@ -195,3 +196,42 @@ def test_enumerate_homs_equals_brute_force(sig, seed, pins, mono_only):
                         constraint[(s, i)] = rng.randrange(H.n(s))
     got = enumerate_homs(G, H, constraint, mono_only)
     assert got == brute_force_homs(G, H, constraint, mono_only)
+
+
+def test_enumerate_homs_plans_each_domain_graph_once():
+    # the pin-free plan is built on the first call and shared by every
+    # later one, pinned or not; a pinned call plans on a copy
+    rng = random.Random(7)
+    G = random_instance(LABELLED_SIG, rng, max_base=2, max_elems=3)
+    fresh = CGraph(G.sig, G.args, G.labels)
+    assert "hom_plan" not in vars(G)
+    H = random_host_containing(G, rng)
+    homs = enumerate_homs(G, H)
+    plan = G.hom_plan
+    assert homs and all(pin is None for *_, pin in plan[0])
+    for f in homs[:3]:
+        pins = {(s, i): j for s, row in enumerate(f.maps) for i, j in enumerate(row)}
+        assert enumerate_homs(G, H, pins) == [f]
+        assert G.hom_plan is plan
+    assert enumerate_homs(G, G) and G.hom_plan is plan
+    assert plan == fresh.hom_plan
+
+
+@given(st.sampled_from(DIFFERENTIAL_SIGS), st.integers(min_value=0, max_value=2**32))
+@settings(derandomize=True, max_examples=100, deadline=None)
+def test_calls_that_share_a_plan_agree_with_fresh_graphs(sig, seed):
+    # one G, its calls alternating between no constraint and several
+    # constraints: each call agrees with the brute force and with a call
+    # on a copy of G built anew, which plans afresh
+    rng = random.Random(seed)
+    G = random_instance(sig, rng, max_base=2, max_elems=2)
+    H = random_instance(sig, rng, max_base=3, max_elems=3)
+    for _ in range(3):
+        for constraint in (None, *(
+            {(s, i): rng.randrange(H.n(s)) for s in range(len(sig.objects))
+             for i in range(G.n(s)) if H.n(s) and rng.random() < 0.4}
+            for _ in range(2)
+        )):
+            got = enumerate_homs(G, H, constraint)
+            assert got == brute_force_homs(G, H, constraint)
+            assert got == enumerate_homs(CGraph(G.sig, G.args, G.labels), H, constraint)

@@ -5,17 +5,21 @@ bench/workloads.py is only imported here, for its mutation operators."""
 from __future__ import annotations
 
 import importlib.util
+import json
 import sys
 from collections import Counter
 from pathlib import Path
 
 from dpoterm.certificate import (
     CertificateError,
+    _json_shaped,
     certificate_to_json,
     read_certificate,
     write_certificate,
 )
 from dpoterm.checker import check_certificate
+
+from oracles import json_shaped
 
 WORKLOADS = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
 
@@ -48,3 +52,20 @@ def test_shipped_mutants_keep_their_outcomes(searched):
             for spec in wl.mutant_specs(toks, f"{stem}/{form}"):
                 outcomes[_outcome(system, wl.apply_mutant(text, toks, spec))] += 1
     assert outcomes == {"accept": 237, "reject": 196, "input_error": 4383}
+
+
+def test_the_json_field_check_agrees_with_the_shape_interpreter_on_every_mutant(searched):
+    wl = _workloads()
+    verdicts = Counter()
+    for stem, (system, cert, _) in sorted(searched.items()):
+        text = certificate_to_json(cert)
+        toks = wl.tokens(text)
+        for spec in wl.mutant_specs(toks, f"{stem}/json"):
+            try:
+                data = json.loads(wl.apply_mutant(text, toks, spec))
+            except ValueError:
+                continue
+            if isinstance(data, dict):
+                assert _json_shaped(data) == json_shaped(data), (stem, spec)
+                verdicts[json_shaped(data)] += 1
+    assert verdicts[True] > 0 and verdicts[False] > 0

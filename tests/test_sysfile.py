@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import re
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dpoterm.certificate import check_certificate, read_certificate, write_certificate
 from dpoterm.morphism import Morphism
@@ -11,8 +13,10 @@ from dpoterm.sysfile import (
     SystemParseError,
     _names_to_morphism,
     _parse_map,
+    element_row,
     name_pairs,
     parse_system_file,
+    read_lines,
     print_map,
     system_hash,
 )
@@ -385,3 +389,26 @@ def test_name_pairs_give_back_every_shipped_rule_leg():
         assert [a for a, _ in pairs] == list(leg.dom.element_ids)
         assert _names_to_morphism(leg.dom, leg.cod, dict(pairs)) == leg
         assert _parse_map(print_map(pairs), 1) == dict(pairs)
+
+
+# letters, '#', ',' and whitespace that str.split and the regex \s both
+# count, among them line breaks that str.splitlines splits at
+_LINE_ALPHABET = "ab#, \t\r\n\x0b\x0c\x1c\x85\xa0\u2003\u2028"
+
+
+@given(st.text(alphabet=_LINE_ALPHABET, max_size=40))
+@settings(derandomize=True, max_examples=300, deadline=None)
+def test_the_line_reader_keeps_the_stripped_uncommented_lines(text):
+    want = []
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        body = raw.split("#", 1)[0].strip()
+        if body:
+            want.append((body, lineno))
+    assert read_lines(text) == want
+
+
+@given(st.text(alphabet=_LINE_ALPHABET.replace("#", "").replace("\n", ""), max_size=20))
+@settings(derandomize=True, max_examples=300, deadline=None)
+def test_an_element_line_splits_its_arguments_at_commas_and_whitespace(args):
+    row = element_row(f"edge e ({args})", 1)
+    assert row == ["edge", "e", None, [a for a in re.split(r"[,\s]+", args) if a]]
