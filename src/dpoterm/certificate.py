@@ -21,7 +21,7 @@ from .checker import (  # check_certificate is re-exported
     check_certificate,
 )
 from .graph import CGraph
-from .sysfile import NAME, NAME_SET, _parse_map, block_lines, element_row, read_lines
+from .sysfile import NAME, NAME_SET, _parse_map, element_row, read_blocks
 from .sysfile import print_graph_block, print_map
 
 VERSION = 2
@@ -221,7 +221,7 @@ def _decode_text(text: str) -> dict:
     typed by construction: each is a regex group, a split word, an int()
     weight or a _parse_map map, and a field the builder reads is never
     missing. A line's directive is its whole first word."""
-    lines = read_lines(text)
+    lines = read_blocks(text, ({"step"}, {"typegraph"}))
     head = lines[0][0].split() if lines else []
     if head[:1] != ["dpoterm-certificate"]:
         raise CertificateError("missing certificate header")
@@ -231,22 +231,15 @@ def _decode_text(text: str) -> dict:
     if words[:1] != ["system-hash"] or len(words) != 2:
         raise CertificateError("missing system-hash")
     data = {"systemHash": words[1], "steps": [], "remaining": []}
-    i = 2
-    while i < len(lines):
-        body = lines[i][0]
-        word, *args = body.split()
-        i += 1
-        if body == "step":
+    for line, _, block in lines[2:]:
+        word, *args = line.split()
+        if line == "step":
             step = {"elements": [], "rules": [], "removed": []}
-            while i < len(lines) and lines[i][0] != "end":
-                body, ln = lines[i]
+            for body, ln, rows in block:
                 word, *args = body.split()
                 if body == "typegraph":
-                    rows, i = block_lines(lines, i)
-                    step["typeGraph"] = [element_row(t, n) for t, n in rows]
-                    continue
-                i += 1
-                if word == "semiring" and len(args) == 1:
+                    step["typeGraph"] = [element_row(t, n) for t, n, _ in rows]
+                elif word == "semiring" and len(args) == 1:
                     step["semiring"] = args[0]
                 elif word == "element" and (m := _ELEMENT_LINE.match(body)):
                     sort, lab, name, w = m.groups()
@@ -258,19 +251,16 @@ def _decode_text(text: str) -> dict:
                     step["removed"] = args
                 else:
                     raise CertificateError(f"unexpected line in step: {body}")
-            if i == len(lines):
-                raise CertificateError("unterminated step")
             for key in ("semiring", "typeGraph"):
                 if key not in step:
                     raise CertificateError(f"step has no {key.lower()} line")
-            i += 1
             data["steps"].append(step)
         elif word == "verdict" and len(args) == 1:
             data["verdict"] = args[0]
-        elif word == "remaining" and (m := NAME_SET.fullmatch(body, len(word))):
+        elif word == "remaining" and (m := NAME_SET.fullmatch(line, len(word))):
             data["remaining"] = m[1].split()
         else:
-            raise CertificateError(f"unexpected line: {body}")
+            raise CertificateError(f"unexpected line: {line}")
     if "verdict" not in data:
         raise CertificateError("missing verdict")
     return data

@@ -142,13 +142,9 @@ def check_certificate(system: System, cert: Certificate) -> CheckResult:
                 return _reject(f"{where}: removal of {name} is not justified")
         for name in step.removed:
             del remaining[name]
-    s1_left = [n for n in system.s1_names() if n in remaining]
-    if cert.verdict == "terminating" and remaining:
-        return _reject("verdict says terminating but rules remain")
-    if cert.verdict == "relatively-terminating" and (s1_left or not remaining):
-        return _reject("verdict says relatively-terminating but S1 rules remain")
-    if cert.verdict == "failed" and not s1_left:
-        return _reject("verdict says failed but all S1 rules were removed")
+    verdict = system.verdict(remaining)
+    if cert.verdict != verdict:
+        return _reject(f"verdict says {cert.verdict} but the steps give {verdict}")
     if tuple(sorted(remaining)) != tuple(sorted(cert.remaining)):
         return _reject("remaining rule list does not match the steps")
     return CheckResult(True)

@@ -974,14 +974,9 @@ class ProveResult:
     warnings: tuple[str, ...]
 
 
-def _s1_done(system: System, remaining) -> bool:
-    rel = system.relative
-    return all(r.name in rel for r in remaining)
-
-
 def _interp(node, system: System, remaining, steps, warnings) -> tuple[bool, list]:
     """Returns (success, remaining) and appends certificate steps."""
-    if _s1_done(system, remaining):
+    if system.verdict([r.name for r in remaining]) != "failed":
         return False, remaining
     if isinstance(node, Basic):
         outcome = search_wtg(
@@ -1020,11 +1015,6 @@ def run_strategy(system: System, strategy) -> ProveResult:
     remaining = list(system.rules)
     _, remaining = _interp(strategy, system, remaining, steps, warnings)
     left_names = tuple(sorted(r.name for r in remaining))
-    if not remaining:
-        verdict = "terminating"
-    elif _s1_done(system, remaining):
-        verdict = "relatively-terminating"
-    else:
-        verdict = "failed"
+    verdict = system.verdict(left_names)
     cert = Certificate(system_hash(system), tuple(steps), verdict, left_names)
     return ProveResult(cert, tuple(warnings))

@@ -12,6 +12,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
+from graphlib import CycleError, TopologicalSorter
 from typing import Optional
 
 
@@ -74,24 +75,10 @@ class IndexSignature:
     @cached_property
     def topo_order(self) -> tuple[int, ...]:
         """Sort indices with every argument target before its source."""
-        n = len(self.objects)
-        seen = [0] * n  # 0 unvisited, 1 on the path, 2 done
-        order: list[int] = []
-        # an explicit stack, so that a long chain of sorts cannot hit the
-        # recursion limit
-        for root in range(n):
-            stack = [root]
-            while stack:
-                s = stack.pop()
-                if seen[s] == 1:
-                    seen[s] = 2
-                    order.append(s)
-                elif not seen[s]:
-                    seen[s] = 1
-                    if any(seen[t] == 1 for t in self.arg_sorts(s)):
-                        raise SignatureError("cyclic argument dependency")
-                    stack += [s, *reversed(self.arg_sorts(s))]
-        return tuple(order)
+        try:
+            return tuple(TopologicalSorter(dict(enumerate(self.arg_table))).static_order())
+        except CycleError:
+            raise SignatureError("cyclic argument dependency") from None
 
     def element_labels(self, s: int) -> tuple[Optional[str], ...]:
         """Admissible element labels of a sort; (None,) when unlabelled."""

@@ -105,8 +105,11 @@ class System:
     relative: frozenset[str] = frozenset()
     strategy: Optional[str] = None
 
-    def s1_names(self) -> tuple[str, ...]:
-        return tuple(r.name for r in self.rules if r.name not in self.relative)
+    def verdict(self, remaining) -> str:
+        """The verdict of a proof that leaves the rules named in remaining."""
+        if not remaining:
+            return "terminating"
+        return "relatively-terminating" if self.relative.issuperset(remaining) else "failed"
 
 
 # an element, rule or label name: what the text certificate can carry
@@ -121,22 +124,29 @@ _MAP_PAIR = re.compile(rf"\s*({NAME})\s*(?:->|↦)\s*({NAME})\s*")
 NAME_SET = re.compile(rf"\s*\{{\s*((?:{NAME}(?:\s+{NAME})*)?)\s*\}}\s*")
 
 
-def read_lines(text: str) -> list[tuple[str, int]]:
-    """(text, line number) of each line that is not blank once its '#'
-    comment is cut, stripped."""
-    return [(body, lineno) for lineno, raw in enumerate(text.splitlines(), 1)
-            if (body := raw.partition("#")[0].strip())]
-
-
-def block_lines(lines, i: int) -> tuple[list[tuple[str, int]], int]:
-    """The lines after the block header lines[i] up to its `end`, and the
-    index after that `end`."""
-    j = i + 1
-    while j < len(lines) and lines[j][0] != "end":
-        j += 1
-    if j == len(lines):
-        raise SystemParseError("unterminated block", lines[i][1])
-    return lines[i + 1:j], j + 1
+def read_blocks(text: str, openers: tuple = ()) -> list:
+    """(line, line number, block) of each line that is not blank once its
+    '#' comment is cut, stripped. A line at depth d whose first word is in
+    openers[d] opens a block: the lines up to its matching `end`, read the
+    same way at depth d + 1. Any other line's block is None."""
+    out: list = []
+    stack: list = []  # (header line number, enclosing list) of each open block
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        line = raw.partition("#")[0].strip()
+        if not line:
+            continue
+        if line == "end" and stack:
+            out = stack.pop()[1]
+        elif len(stack) < len(openers) and line.split(None, 1)[0] in openers[len(stack)]:
+            block: list = []
+            out.append((line, lineno, block))
+            stack.append((lineno, out))
+            out = block
+        else:
+            out.append((line, lineno, None))
+    if stack:
+        raise SystemParseError("unterminated block", stack[-1][0])
+    return out
 
 
 def element_row(text: str, lineno: int) -> list:
@@ -182,53 +192,48 @@ def _names_to_morphism(dom: CGraph, cod: CGraph, pairs: dict[str, str]) -> Morph
 
 
 def parse_system_file(text: str) -> System:
-    lines = read_lines(text)
     sig: Optional[IndexSignature] = None
     graphs: dict[str, CGraph] = {}
     rules: list[Rule] = []
     framework: Optional[Framework] = None
     relative: frozenset[str] = frozenset()
-    relative_line = 0  # the line of the relative directive, 0 before it
     strategy: Optional[str] = None
+    once: dict[str, int] = {}  # the line of each directive that may occur once
 
-    i = 0
-    while i < len(lines):
-        text_i, lineno = lines[i]
-        head = text_i.split()
-        if head[0] == "signature":
-            # graphs parsed under another signature would not compose
-            if sig is not None:
-                raise SystemParseError("repeated signature block", lineno)
-            body, i = block_lines(lines, i)
+    for line, lineno, body in read_blocks(text, ({"signature", "graph", "rule"},)):
+        word, *args = line.split()
+        # a later line would replace an earlier one, and graphs read under
+        # another signature would not compose
+        if word in ("signature", "framework", "relative", "strategy"):
+            if word in once:
+                kind = "line" if body is None else "block"
+                raise SystemParseError(f"repeated {word} {kind}", lineno)
+            once[word] = lineno
+        if word in ("graph", "rule"):
+            if sig is None:
+                raise SystemParseError(f"{word} before signature", lineno)
+            if len(args) != 1:
+                raise SystemParseError(f"{word} needs exactly one name", lineno)
+        if word == "signature":
             try:
-                sig = parse_signature("\n".join(t for t, _ in body))
+                sig = parse_signature("\n".join(t for t, _, _ in body))
             except SignatureParseError as e:
                 raise SystemParseError(e.msg, body[e.line - 1][1])
             except SignatureError as e:
                 raise SystemParseError(str(e), body[0][1] if body else lineno)
-        elif head[0] == "graph":
-            if sig is None:
-                raise SystemParseError("graph before signature", lineno)
-            if len(head) != 2:
-                raise SystemParseError("graph needs exactly one name", lineno)
-            body, i = block_lines(lines, i)
-            if head[1] in graphs:
-                raise SystemParseError(f"duplicate graph {head[1]!r}", lineno)
-            rows = [element_row(t, ln) for t, ln in body]
+        elif word == "graph":
+            if args[0] in graphs:
+                raise SystemParseError(f"duplicate graph {args[0]!r}", lineno)
+            rows = [element_row(t, ln) for t, ln, _ in body]
             try:
-                graphs[head[1]] = CGraph.build(sig, rows)
+                graphs[args[0]] = CGraph.build(sig, rows)
             except ValueError as e:
                 raise SystemParseError(str(e), lineno)
-        elif head[0] == "rule":
-            if sig is None:
-                raise SystemParseError("rule before signature", lineno)
-            if len(head) != 2:
-                raise SystemParseError("rule needs exactly one name", lineno)
-            if not re.fullmatch(NAME, head[1]):
-                raise SystemParseError(f"bad rule name {head[1]!r}", lineno)
-            body, i = block_lines(lines, i)
+        elif word == "rule":
+            if not re.fullmatch(NAME, args[0]):
+                raise SystemParseError(f"bad rule name {args[0]!r}", lineno)
             parts: dict[str, tuple[str, int]] = {}
-            for t, ln in body:
+            for t, ln, _ in body:
                 if "=" not in t:
                     raise SystemParseError(f"bad rule line {t!r}", ln)
                 key, val = t.split("=", 1)
@@ -236,7 +241,7 @@ def parse_system_file(text: str) -> System:
             missing = {"L", "K", "R", "l", "r"} - set(parts)
             if missing:
                 raise SystemParseError(
-                    f"rule {head[1]} misses {sorted(missing)}", lineno
+                    f"rule {args[0]} misses {sorted(missing)}", lineno
                 )
             def graph_of(key: str) -> CGraph:
                 name, ln = parts[key]
@@ -252,39 +257,29 @@ def parse_system_file(text: str) -> System:
             L, K, R = graph_of("L"), graph_of("K"), graph_of("R")
             lmor, rmor = leg("l", L), leg("r", R)
             try:
-                rule = Rule(head[1], lmor, rmor)
+                rule = Rule(args[0], lmor, rmor)
             except (DpoError, MorphismError) as e:
                 raise SystemParseError(str(e), lineno)
             if any(r.name == rule.name for r in rules):
                 raise SystemParseError(f"duplicate rule {rule.name!r}", lineno)
             rules.append(rule)
-        elif head[0] == "framework":
-            if framework is not None:
-                raise SystemParseError("repeated framework line", lineno)
-            if len(head) != 2 or head[1] not in MATCH_CLASSES:
+        elif word == "framework":
+            if len(args) != 1 or args[0] not in MATCH_CLASSES:
                 raise SystemParseError(
                     f"framework must be one of {', '.join(MATCH_CLASSES)}", lineno
                 )
-            framework = Framework(head[1])
-            i += 1
-        elif head[0] == "relative":
-            if relative_line:
-                raise SystemParseError("repeated relative line", lineno)
-            relative_line = lineno
-            if not (m := NAME_SET.fullmatch(text_i, len("relative"))):
+            framework = Framework(args[0])
+        elif word == "relative":
+            if not (m := NAME_SET.fullmatch(line, len(word))):
                 raise SystemParseError("relative must be written as { rule ... }", lineno)
             relative = frozenset(m[1].split())
-            i += 1
-        elif head[0] == "strategy":
-            if strategy is not None:
-                raise SystemParseError("repeated strategy line", lineno)
-            m = re.match(r'strategy\s+"(.*)"\s*$', text_i)
+        elif word == "strategy":
+            m = re.match(r'strategy\s+"(.*)"\s*$', line)
             if not m:
                 raise SystemParseError('strategy must be quoted: strategy "..."', lineno)
             strategy = m.group(1)
-            i += 1
         else:
-            raise SystemParseError(f"unknown directive {head[0]!r}", lineno)
+            raise SystemParseError(f"unknown directive {word!r}", lineno)
 
     if sig is None:
         raise SystemParseError("missing signature block", 1)
@@ -292,7 +287,7 @@ def parse_system_file(text: str) -> System:
         raise SystemParseError("missing framework line", 1)
     for name in sorted(relative):
         if all(r.name != name for r in rules):
-            raise SystemParseError(f"relative names unknown rule {name!r}", relative_line)
+            raise SystemParseError(f"relative names unknown rule {name!r}", once["relative"])
     return System(sig, graphs, tuple(rules), framework, relative, strategy)
 
 

@@ -222,6 +222,25 @@ def test_wrong_verdict_rejected(proved):
     assert not check_certificate(system, bad).accepted
 
 
+@pytest.mark.parametrize(
+    "name, claim, steps_give",
+    [
+        ("loop_unfolding", "relatively-terminating", "terminating"),
+        ("loop_unfolding", "failed", "terminating"),
+        ("limitations", "terminating", "relatively-terminating"),
+        ("limitations", "failed", "relatively-terminating"),
+        ("limitations_tau", "relatively-terminating", "failed"),
+    ],
+)
+def test_a_wrong_verdict_is_rejected_naming_both_verdicts(name, claim, steps_give):
+    system = load(name)
+    text = (PINNED / f"{name}.cert").read_text()
+    bad = text.replace(f"verdict {steps_give}\n", f"verdict {claim}\n")
+    assert bad != text
+    got = check_certificate(system, read_certificate(system.sig, bad))
+    assert got == CheckResult(False, f"verdict says {claim} but the steps give {steps_give}")
+
+
 def test_repeated_removal_rejected(proved):
     system, cert = proved["limitations"]
     step = cert.steps[0]
@@ -627,4 +646,4 @@ def test_checker_imports_only_the_trusted_base():
     loaded = json.loads(out.stdout)
     assert set(loaded) == TRUSTED_BASE
     lines = sum(len(Path(f).read_text().splitlines()) for f in loaded.values())
-    assert lines <= 1484, f"the checker's import closure has {lines} lines"
+    assert lines <= 1462, f"the checker's import closure has {lines} lines"

@@ -747,11 +747,7 @@ def _assign(search, values, cap=None):
 
 def _one_step_certificate(system, step):
     left = tuple(sorted(r.name for r in system.rules if r.name not in step.removed))
-    if set(left) & set(system.s1_names()):
-        verdict = "failed"
-    else:
-        verdict = "relatively-terminating" if left else "terminating"
-    return Certificate(system_hash(system), (step,), verdict, left)
+    return Certificate(system_hash(system), (step,), system.verdict(left), left)
 
 
 def test_leaves_pass_the_checker_and_bounds_bracket_full_assignments():

@@ -16,7 +16,7 @@ from dpoterm.sysfile import (
     element_row,
     name_pairs,
     parse_system_file,
-    read_lines,
+    read_blocks,
     print_map,
     system_hash,
 )
@@ -356,6 +356,38 @@ def test_repeated_relative_or_strategy_rejected(text, line, what):
     assert err.value.line == line
 
 
+GRAPH_H = "graph H\n  V x\nend\n"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (MINIMAL + "signature\n  V\nend\n", "line 22: repeated signature block"),
+        (MINIMAL + "framework monic\n", "line 22: repeated framework line"),
+        (MINIMAL + "relative { }\nrelative { }\n", "line 23: repeated relative line"),
+        (MINIMAL + 'strategy "a"\nstrategy "a"\n', "line 23: repeated strategy line"),
+        (GRAPH_H + MINIMAL, "line 1: graph before signature"),
+        ("rule r\n  L = H\nend\n" + MINIMAL, "line 1: rule before signature"),
+        (MINIMAL + GRAPH_H.replace("H", "H I"), "line 22: graph needs exactly one name"),
+        (MINIMAL + GRAPH_H.replace(" H", ""), "line 22: graph needs exactly one name"),
+        (MINIMAL.replace("rule keep", "rule keep it"), "line 13: rule needs exactly one name"),
+        (MINIMAL.replace("rule keep", "rule"), "line 13: rule needs exactly one name"),
+        # the whole text is split into blocks before any directive is read
+        (GRAPH_H + MINIMAL + "rule r\n", "line 25: unterminated block"),
+        (MINIMAL + "end\n", "line 22: unknown directive 'end'"),
+    ],
+    ids=[
+        "signature", "framework", "relative", "strategy", "graph-first", "rule-first",
+        "graph-two-names", "graph-no-name", "rule-two-names", "rule-no-name",
+        "unterminated-before-signature", "end-at-top-level",
+    ],
+)
+def test_each_directive_check_keeps_its_message(text, message):
+    with pytest.raises(SystemParseError) as err:
+        parse_system_file(text)
+    assert str(err.value) == message
+
+
 @pytest.mark.parametrize(
     "leg",
     [
@@ -396,15 +428,72 @@ def test_name_pairs_give_back_every_shipped_rule_leg():
 _LINE_ALPHABET = "ab#, \t\r\n\x0b\x0c\x1c\x85\xa0\u2003\u2028"
 
 
+def _read_lines(text: str) -> list[tuple[str, int]]:
+    """The line reader that read_blocks replaced, kept as its reference."""
+    return [(body, lineno) for lineno, raw in enumerate(text.splitlines(), 1)
+            if (body := raw.partition("#")[0].strip())]
+
+
 @given(st.text(alphabet=_LINE_ALPHABET, max_size=40))
 @settings(derandomize=True, max_examples=300, deadline=None)
 def test_the_line_reader_keeps_the_stripped_uncommented_lines(text):
-    want = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        body = raw.split("#", 1)[0].strip()
-        if body:
-            want.append((body, lineno))
-    assert read_lines(text) == want
+    assert read_blocks(text) == [(body, lineno, None) for body, lineno in _read_lines(text)]
+
+
+# openers per depth, and header and plain lines for each depth: a plain
+# line's first word opens nothing there, and only a top-level `end` is a line
+_OPENERS = ({"o"}, {"o", "p"})
+_HEADERS = (["o", "o x", "o\tx"], ["o", "p y"])
+_PLAIN = (["a", "a o", "p", "end", "ends"], ["a", "a o", "ends"], ["a", "o", "p", "ends"])
+
+
+@st.composite
+def _nested_blocks(draw):
+    """Lines of nested blocks, each closed by an `end`, and the
+    (line, line number, block) list that read_blocks should give."""
+    lines: list[str] = []
+
+    def put(line: str) -> int:
+        lines.extend(draw(st.lists(st.sampled_from(["", "  ", "# end", "  # o"]), max_size=1)))
+        indent = draw(st.sampled_from(["", "  ", "\t"]))
+        lines.append(indent + line + draw(st.sampled_from(["", " ", "  # end"])))
+        return len(lines)
+
+    def body(depth: int) -> list:
+        out = []
+        for _ in range(draw(st.integers(0, 3))):
+            if depth < len(_OPENERS) and draw(st.booleans()):
+                header = draw(st.sampled_from(_HEADERS[depth]))
+                out.append((header, put(header), body(depth + 1)))
+                put("end")
+            else:
+                plain = draw(st.sampled_from(_PLAIN[depth]))
+                out.append((plain, put(plain), None))
+        return out
+
+    return lines, body(0)
+
+
+@given(_nested_blocks())
+@settings(derandomize=True, max_examples=150, deadline=None)
+def test_a_block_holds_the_lines_up_to_its_matching_end(case):
+    lines, want = case
+    assert read_blocks("\n".join(lines), _OPENERS) == want
+
+
+@given(
+    _nested_blocks(),
+    st.sampled_from(_HEADERS[0]),
+    st.lists(st.sampled_from(_HEADERS[1]), max_size=1),
+    st.lists(st.sampled_from(["a", "ends", "# end", ""])),
+)
+@settings(derandomize=True, max_examples=100, deadline=None)
+def test_an_unterminated_block_is_reported_at_its_innermost_header(case, header, inner, tail):
+    lines, _ = case
+    headers = [header, *inner]
+    with pytest.raises(SystemParseError, match="unterminated block") as err:
+        read_blocks("\n".join([*lines, *headers, *tail]), _OPENERS)
+    assert err.value.line == len(lines) + len(headers)
 
 
 @given(st.text(alphabet=_LINE_ALPHABET.replace("#", "").replace("\n", ""), max_size=20))
